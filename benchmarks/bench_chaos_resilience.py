@@ -11,7 +11,7 @@ Two claims from the resilience layer are measured here:
    the fault-free run.
 
 2. **Healing is bounded and exact.**  A seeded crash plan kills workers
-   mid-campaign; the supervisor requeues and respawns, and the run
+   mid-campaign; the worker pool requeues and respawns, and the run
    completes with coefficients bitwise identical to the undisturbed
    thread-path run.  The report shows the recovery cost: wall time with
    and without chaos, plus the death/respawn/requeue counts behind it.

@@ -281,6 +281,13 @@ class Coordinator:
             except OSError:
                 pass
         if self._listener is not None:
+            # close() alone does not wake an accept() blocked in another
+            # thread on Linux; shutdown() does.  A bound socket that never
+            # listened (an HA standby's) has nothing to wake.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -2,12 +2,11 @@
 
 :class:`ClusterExecutor` is what ``EngineConfig(executor="cluster")``
 plugs into the :class:`~repro.runtime.engine.SolveEngine`: the same
-``solve_array`` surface as the single-host
+``lease`` / ``solve`` / ``release`` contract as the single-host
 :class:`~repro.runtime.sharded.ShardedExecutor`, with the worker pool
 generalized to TCP nodes behind a :class:`~repro.cluster.coordinator.Coordinator`.
-``supports_shm`` is False — there is no shared-memory rung across hosts,
-so the engine routes every batch through the raw-byte wire transport
-without ever attempting (or logging) an shm fallback.
+A lease here is a private block, not shared memory: shards travel from
+it as raw bytes over TCP (:meth:`ClusterExecutor.solve_array`).
 
 The executor owns its local fleet: it spawns ``num_workers`` loopback
 worker processes (``spawn`` start method — the coordinator's threads are
@@ -48,6 +47,7 @@ import multiprocessing as mp
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -56,7 +56,6 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.coordinator import Coordinator
 from repro.distributed.decompose import Decomposition
 from repro.runtime.sharded import _LIVE_WAIT_TIMEOUT, WorkerError
-from repro.runtime.shm import ShmError
 from repro.runtime.telemetry import Telemetry
 
 __all__ = ["ClusterExecutor"]
@@ -92,10 +91,6 @@ class ClusterExecutor:
         Seconds a dispatch waits for a live worker; ``None`` scales the
         single-host default with the lease clock.
     """
-
-    #: no shared-memory rung across hosts — the engine skips the lease
-    #: path entirely instead of logging an shm fallback per batch
-    supports_shm = False
 
     def __init__(
         self,
@@ -381,22 +376,28 @@ class ClusterExecutor:
     # -- the sharded-solve surface ---------------------------------------
 
     def lease(self, shape, dtype):
-        """No shared memory across hosts; the engine's ``supports_shm``
-        gate means this is never reached in normal operation."""
-        raise ShmError(
-            "the cluster transport has no shared-memory rung; "
-            "shards travel as raw bytes over TCP"
-        )
+        """A private ``shape``/*dtype* block (``.array``) to assemble a
+        batch into; its shards travel as raw bytes over TCP."""
+        return SimpleNamespace(array=np.empty(shape, dtype=dtype))
 
-    def release(self, lease) -> None:  # pragma: no cover - symmetry only
-        raise ShmError("the cluster transport has no shared-memory rung")
+    def release(self, lease) -> None:
+        """Nothing to return: the leased block is private memory."""
+
+    def solve(self, key, lease, restore=None) -> None:
+        """Solve ``lease.array`` in place over the fleet.
+
+        *restore* is unnecessary here — the coordinator retains each
+        shard's verbatim payload for re-issue — and accepted only for
+        the executor contract.
+        """
+        self.solve_array(key, lease.array)
 
     def _submit(self, key, payload, col0, col1):
         if self.ha is not None:
             return self.ha.submit(key, payload, col0, col1)
         return self.coordinator.submit(key, payload, col0, col1)
 
-    def solve_array(self, key, block: np.ndarray, restore=None) -> None:
+    def solve_array(self, key, block: np.ndarray) -> None:
         """Solve *block* in place, column-sharded over the live fleet.
 
         The decomposition is balanced over the workers live *now*
@@ -405,9 +406,7 @@ class ClusterExecutor:
         columns independently — the same invariant the single-host
         executor and the coalescer already rely on.  Shards orphaned by
         a node loss mid-call are re-issued by the coordinator without
-        this method noticing; *restore* is unnecessary (the coordinator
-        retains each shard's verbatim payload) and accepted only for
-        interface parity.
+        this method noticing.
         """
         n, cols = block.shape
         if cols == 0:

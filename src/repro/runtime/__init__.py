@@ -34,10 +34,9 @@ puts in front of the solver stack:
   :class:`~repro.runtime.durable.CampaignState` checkpoint;
 * :mod:`repro.runtime.resilience` — the self-healing layer: seeded
   :class:`~repro.runtime.resilience.faults.FaultPlan` fault injection,
-  a :class:`~repro.runtime.resilience.supervisor.WorkerSupervisor`
-  respawning dead workers and requeueing their shards, a per-plan-key
-  :class:`~repro.runtime.resilience.circuit.PlanBreaker`, and the
-  engine's processes → threads → serial degradation ladder.
+  a per-plan-key :class:`~repro.runtime.resilience.circuit.PlanBreaker`,
+  and the engine's processes → threads → serial degradation ladder (the
+  worker pool itself respawns dead workers and requeues their shards).
 
 Quickstart::
 
@@ -76,8 +75,6 @@ from repro.runtime.resilience import (
     FaultPlan,
     FaultSpec,
     PlanBreaker,
-    SupervisorPolicy,
-    WorkerSupervisor,
 )
 from repro.runtime.sharded import ShardedExecutor, WorkerError
 from repro.runtime.shm import SharedBlock, SharedBlockPool, ShmError
@@ -111,8 +108,6 @@ __all__ = [
     "FaultInjected",
     "PlanBreaker",
     "CircuitOpenError",
-    "SupervisorPolicy",
-    "WorkerSupervisor",
     "Telemetry",
     "merged_counter",
     "merge_snapshots",

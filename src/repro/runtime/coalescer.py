@@ -164,13 +164,18 @@ class CoalescedBatch:
     def scatter(self, block: np.ndarray) -> None:
         """Slice the solved block back per request and resolve the futures.
 
-        Always copies: *block* may be a recycled buffer (a pooled
+        A block that owns its memory and holds a single request is handed
+        to that request as is (the bulk path's block).  Anything else is
+        copied out: *block* may be a recycled buffer (a pooled
         shared-memory segment under the process-sharded executor), so a
         request must never receive a view into it.
         """
+        handover = len(self.requests) == 1 and block.flags.owndata
         offset = 0
         for req in self.requests:
-            out = np.array(block[:, offset : offset + req.cols], order="C", copy=True)
+            out = block[:, offset : offset + req.cols]
+            if not handover:
+                out = np.array(out, order="C", copy=True)
             offset += req.cols
             if not req.future.set_running_or_notify_cancel():
                 continue  # caller cancelled while we were solving

@@ -28,27 +28,27 @@ On top of that sits the PR 5 resilience layer (:mod:`repro.runtime.resilience`):
   — a key that keeps failing is short-circuited into a fast replica of
   its last failure instead of burning a solve-plus-retries cycle per
   request;
-* under ``executor="processes"`` a
-  :class:`~repro.runtime.resilience.supervisor.WorkerSupervisor` respawns
-  dead workers and requeues their in-flight shards (bitwise-identical
-  results);
+* under ``executor="processes"`` the worker pool supervises itself: it
+  respawns dead workers and requeues their in-flight shards
+  (bitwise-identical results);
 * a **degradation ladder** keeps accepted requests answered when layers
-  fail: shared-memory transport falls back to pickled transport
-  (:class:`~repro.runtime.shm.ShmError`), an exhausted worker pool drops
-  the engine from *processes* to *threads*, and a broken thread pool
-  drops it to *serial* solves on the caller's thread.  Every transition
-  is logged, counted, and recorded in the telemetry event ring; no rung
-  ever silently drops a request.
+  fail: an exhausted worker pool drops the engine from *processes* (or
+  *cluster*) to *threads*, and a broken thread pool drops it to *serial*
+  solves on the caller's thread.  Every transition is logged, counted,
+  and recorded in the telemetry event ring; no rung ever silently drops
+  a request.  A batch whose shared-memory lease fails
+  (:class:`~repro.runtime.shm.ShmError`) is solved locally on its pool
+  thread, and the next batch tries shared memory again.
 * a seeded :class:`~repro.runtime.resilience.faults.FaultPlan`
   (``EngineConfig(faults=...)`` or the ``REPRO_FAULT_PLAN`` environment
   variable) injects all of those failures on demand, deterministically,
   for chaos tests; with no plan every hook is a single ``is None`` test.
 
-Two entry points::
+Two entry points share one batch runner::
 
     engine = SolveEngine(max_batch=256, max_linger=2e-3)
     fut = engine.submit(spec, rhs)          # coalesced; fut.result() -> coeffs
-    outs = engine.map_batches(spec, blocks) # bulk blocks, plan-cached + pooled
+    outs = engine.map_batches(spec, blocks) # bulk blocks, one batch each
 
 The engine is a context manager; ``shutdown()`` drains lingering partial
 batches before stopping the workers, so no accepted request is dropped.
@@ -80,7 +80,6 @@ from repro.runtime.coalescer import CoalescedBatch, RequestCoalescer, SolveReque
 from repro.runtime.plan_cache import PlanCache, PlanKey
 from repro.runtime.resilience.circuit import PlanBreaker
 from repro.runtime.resilience.faults import FaultPlan
-from repro.runtime.resilience.supervisor import SupervisorPolicy
 from repro.runtime.shm import ShmError
 from repro.runtime.telemetry import Telemetry
 
@@ -191,14 +190,10 @@ class EngineConfig:
         ``REPRO_FAULT_PLAN`` environment variable, so a plan can be
         injected without touching code.  Absent a plan, every hook costs
         one ``is None`` test.
-    supervise:
-        Under ``executor="processes"``, run a
-        :class:`~repro.runtime.resilience.supervisor.WorkerSupervisor`
-        that respawns dead workers (exponential backoff, seeded jitter)
-        and requeues their in-flight shards onto survivors.
     restart_budget:
-        Pool-wide worker respawns allowed before the supervisor declares
-        the pool exhausted and the engine degrades to threads.
+        Pool-wide worker respawns allowed before the worker pool (or
+        cluster fleet) is declared exhausted and the engine degrades to
+        threads.
     hang_timeout:
         Seconds an in-flight shard may age before its worker is declared
         hung and terminated (``None`` — hang detection off).  Must exceed
@@ -254,7 +249,6 @@ class EngineConfig:
     verify_cols: int = 16
     verify_tol_factor: float = 64.0
     faults: Optional[FaultPlan] = None
-    supervise: bool = True
     restart_budget: int = 8
     hang_timeout: Optional[float] = None
     breaker_failures: int = 5
@@ -479,11 +473,8 @@ class SolveEngine:
                 num_workers=self.config.num_workers,
                 telemetry=self.telemetry,
                 faults=self._faults,
-                supervise=self.config.supervise,
-                policy=SupervisorPolicy(
-                    restart_budget=self.config.restart_budget,
-                    hang_timeout=self.config.hang_timeout,
-                ),
+                restart_budget=self.config.restart_budget,
+                hang_timeout=self.config.hang_timeout,
                 plan_store_dir=self._plan_store_dir,
                 live_wait_timeout=self.config.live_wait_timeout,
             )
@@ -606,18 +597,26 @@ class SolveEngine:
                 lane = self._lanes[key] = _Lane(key, n, self.config)
             return lane
 
-    def _dispatch(self, key: PlanKey, batch: CoalescedBatch) -> None:
-        self.telemetry.incr("engine.batches_dispatched")
-        self.telemetry.observe("coalescer.batch_cols", batch.cols)
+    def _dispatch(
+        self, key: PlanKey, batch: CoalescedBatch, cut: bool = True
+    ) -> None:
+        """Run *batch* on the thread pool.
+
+        *cut* marks a coalescer cut, which is counted and passes the
+        ``engine.dispatch`` fault hook; a bulk block does neither.
+        """
+        if cut:
+            self.telemetry.incr("engine.batches_dispatched")
+            self.telemetry.observe("coalescer.batch_cols", batch.cols)
         if self._serial:
             # The last rung: the thread pool is gone, so the batch solves
-            # synchronously on whichever thread cut it (a submitter or
-            # the flusher).  Slow, but every accepted request still gets
-            # an answer.
+            # synchronously on whichever thread cut it (a submitter, the
+            # flusher or a bulk caller).  Slow, but every accepted
+            # request still gets an answer.
             self._run_batch(key, batch)
             return
         try:
-            if self._faults is not None:
+            if cut and self._faults is not None:
                 self._faults.fire("engine.dispatch", key=key)
             self._pool.submit(self._run_batch, key, batch)
         except RuntimeError as exc:
@@ -688,38 +687,16 @@ class SolveEngine:
 
     # -- batch execution ---------------------------------------------------
 
-    def _sharded_solve_or_degrade(
-        self, sharded, key: PlanKey, batch, block, lease, builder
-    ) -> None:
-        """One sharded solve with the full ladder under it.
-
-        *lease* given — shared-memory transport; otherwise pickled
-        transport through :meth:`ShardedExecutor.solve_array`.  A
-        :class:`WorkerError` from an **exhausted** pool (restart budget
-        spent, no survivors) degrades the engine to threads: the block's
-        columns are restored from the original request data (survivor
-        shards may have half-written them) and solved locally.  Any other
-        worker failure propagates to the per-request retry path.
-        """
-        from repro.runtime.sharded import WorkerError
-
-        try:
-            if lease is not None:
-                sharded.solve(
-                    key,
-                    lease,
-                    restore=lambda c0, c1: batch.fill(block, c0, c1),
-                )
-            else:
-                sharded.solve_array(key, block)
-        except WorkerError as exc:
-            if not sharded.exhausted:
-                raise
-            self._degrade_to_threads(f"worker pool exhausted: {exc}")
-            batch.fill(block, 0, block.shape[1])
-            builder.solve(block, in_place=True)
-
     def _run_batch(self, key: PlanKey, batch: CoalescedBatch) -> None:
+        """Lease, assemble, solve, degrade, verify and scatter one batch.
+
+        The one runner behind both entry points: a coalescer cut or a
+        bulk block (a one-request batch).  Under a sharded executor the
+        block is assembled into the executor's lease and solved there;
+        the parent's plan cache is consulted only when the parent solves
+        (the threads rung, an exhausted pool, a failed shared-memory
+        lease) or verifies.
+        """
         now = time.perf_counter()
         live: List[SolveRequest] = []
         for req in batch.requests:
@@ -738,6 +715,7 @@ class SolveEngine:
         if not live:
             return
         batch = CoalescedBatch(live)
+        dtype = np.dtype(key.dtype)
         builder = None
         checker = None
         sharded = None
@@ -745,52 +723,57 @@ class SolveEngine:
         try:
             if not self.breaker.allow(key):
                 raise self.breaker.open_error(key)
-            builder = self.plan_cache.builder(key)
             sharded = self._use_sharded()
-            if (
-                sharded is not None
-                and batch.cols > 0
-                and not getattr(sharded, "supports_shm", True)
-            ):
-                # Wire transport (cluster): no shared-memory rung — shards
-                # travel as raw bytes through solve_array.
-                block = batch.assemble(builder.dtype)
-            elif sharded is not None and batch.cols > 0:
+            if sharded is not None and batch.cols > 0:
                 try:
-                    # Assemble straight into a pooled shared segment: the
-                    # workers solve their column shards in place there and
-                    # the scatter below reads the very same buffer.
-                    lease = sharded.lease((builder.n, batch.cols), builder.dtype)
-                    block = batch.assemble(builder.dtype, out=lease.array)
+                    # The workers solve their column shards in place in
+                    # the lease and the scatter reads the same buffer.
+                    lease = sharded.lease((batch.n, batch.cols), dtype)
                 except ShmError as exc:
-                    # Transport rung: shared memory is down, but the
-                    # worker pool is not — ship shards pickled instead.
+                    # Shared memory failed this batch, not the pool:
+                    # solve it here; the next batch tries again.
                     self.telemetry.incr("engine.shm_fallbacks")
-                    self.telemetry.event(
-                        "degradation", frm="shm", to="pickled", reason=str(exc)
-                    )
                     _LOG.warning(
-                        "shared-memory lease failed (%s); using pickled "
-                        "shard transport for this batch", exc,
+                        "shared-memory lease failed (%s); solving this "
+                        "batch locally", exc,
                     )
-                    lease = None
-                    block = batch.assemble(builder.dtype)
-            else:
+            if lease is None:
                 sharded = None
-                block = batch.assemble(builder.dtype)
+                builder = self.plan_cache.builder(key)
+            block = batch.assemble(
+                dtype, out=None if lease is None else lease.array
+            )
             if self._faults is not None:
                 self._faults.fire("engine.rhs", array=block)
             if self._should_verify():
+                if builder is None:
+                    builder = self.plan_cache.builder(key)
                 checker = self._checker_for(key, builder)
             if checker is not None:
                 sample = self._sample_cols(block.shape[1])
                 ref = block[:, sample].copy()  # pre-solve right-hand sides
             with self.telemetry.span("engine.batch_solve"):
                 if sharded is not None:
-                    self._sharded_solve_or_degrade(
-                        sharded, key, batch, block, lease, builder
-                    )
-                else:
+                    from repro.runtime.sharded import WorkerError
+
+                    try:
+                        sharded.solve(
+                            key,
+                            lease,
+                            restore=lambda c0, c1: batch.fill(block, c0, c1),
+                        )
+                    except WorkerError as exc:
+                        # Only an exhausted pool degrades; any other
+                        # worker failure goes to the per-request retry.
+                        if not sharded.exhausted:
+                            raise
+                        self._degrade_to_threads(f"worker pool exhausted: {exc}")
+                        # Survivor shards may have half-written the block.
+                        batch.fill(block, 0, block.shape[1])
+                        sharded = None
+                if sharded is None:
+                    if builder is None:
+                        builder = self.plan_cache.builder(key)
                     if self._faults is not None:
                         self._faults.fire("engine.batch_solve", key=key)
                     builder.solve(block, in_place=True)
@@ -810,7 +793,7 @@ class SolveEngine:
                 for req in live:
                     self._tenant_incr(req.tenant, "requests_rejected")
                 batch.fail(exc)
-            elif builder is None:
+            elif builder is None and sharded is None:
                 # The factorization itself failed: there is nothing to
                 # retry against, and the breaker hears about it so the
                 # key trips before the next caller pays the same cost.
@@ -823,7 +806,7 @@ class SolveEngine:
             else:
                 self.telemetry.incr("engine.batch_failures")
                 failed = self._retry_individually(
-                    builder, batch, exc, checker=checker
+                    key, batch, exc, checker=checker
                 )
                 if failed:
                     self.breaker.record_failure(key, exc)
@@ -843,9 +826,10 @@ class SolveEngine:
                 self._release(req.cols)
 
     def _retry_individually(
-        self, builder, batch: CoalescedBatch, batch_exc: Exception, checker=None
+        self, key: PlanKey, batch: CoalescedBatch, batch_exc: Exception,
+        checker=None,
     ) -> int:
-        """A failed batch falls back to per-request solves (retry-once).
+        """A failed batch falls back to local per-request solves (retry-once).
 
         When the batch failed its sampled verification (*checker* given),
         every fallback solve is re-verified over *all* of its columns, so
@@ -863,6 +847,7 @@ class SolveEngine:
             for _ in range(self.config.retries):
                 self.telemetry.incr("engine.request_retries")
                 try:
+                    builder = self.plan_cache.builder(key)
                     work = np.array(
                         req.rhs if req.rhs.ndim == 2 else req.rhs[:, None],
                         dtype=builder.dtype,
@@ -1054,16 +1039,17 @@ class SolveEngine:
         """Solve several already-large ``(n, batch)`` blocks in bulk.
 
         The bulk path skips the coalescer — each block is already a
-        paper-scale batch — but still goes through the plan cache, the
-        circuit breaker, the bounded pool and telemetry.  Results come
-        back in input order; a block that fails after the retry policy
-        re-raises here.
+        paper-scale batch — and runs every block as a one-request batch
+        through the same runner as coalesced cuts: plan cache, circuit
+        breaker, bounded pool, degradation ladder, verification and
+        telemetry.  Results come back in input order; a block that fails
+        after the retry policy re-raises here.
         """
         if self._closed:
             raise EngineClosedError("map_batches() after engine shutdown")
         key = self._key(spec, version, dtype, backend)
         self.breaker.check(key)
-        futures = []
+        requests = []
         block_xps = []
         for block in blocks:
             block_xp = get_namespace(block, default=self.xp)
@@ -1072,157 +1058,29 @@ class SolveEngine:
                 block_xp = self.xp  # stage into the configured namespace
             else:
                 block = np.asarray(asnumpy(block))
-            block_xps.append(block_xp)
             if block.ndim != 2:
                 raise ShapeError(
                     f"map_batches expects 2-D (n, batch) blocks, got {block.shape}"
                 )
-            self._acquire(block.shape[1])
+            if block.shape[0] != spec.n_points:
+                raise ShapeError(
+                    f"block leading extent {block.shape[0]} does not match "
+                    f"the {spec.n_points} basis functions of {spec}"
+                )
+            requests.append(SolveRequest(block))
+            block_xps.append(block_xp)
+        for request in requests:
+            self._acquire(request.cols)
             self.telemetry.incr("engine.bulk_blocks_submitted")
-            if self._serial:
-                fut: Future = Future()
-                try:
-                    fut.set_result(self._run_block(key, block))
-                except Exception as exc:  # noqa: BLE001 - deliver in order
-                    fut = Future()
-                    fut.set_exception(exc)
-                futures.append(fut)
-                continue
             try:
-                futures.append(self._pool.submit(self._run_block, key, block))
-            except RuntimeError as exc:
-                if self._closed:
-                    self._release(block.shape[1])
-                    raise
-                self._degrade_to_serial(f"thread-pool dispatch failed: {exc}")
-                fut = Future()
-                try:
-                    fut.set_result(self._run_block(key, block))
-                except Exception as run_exc:  # noqa: BLE001
-                    fut = Future()
-                    fut.set_exception(run_exc)
-                futures.append(fut)
+                self._dispatch(key, CoalescedBatch([request]), cut=False)
+            except RuntimeError:  # the pool shut down under us
+                self._release(request.cols)
+                raise
         return [
-            self._stage(f.result(), bxp) for f, bxp in zip(futures, block_xps)
+            self._stage(req.future.result(), bxp)
+            for req, bxp in zip(requests, block_xps)
         ]
-
-    def _run_block(self, key: PlanKey, block: np.ndarray) -> np.ndarray:
-        builder = None
-        try:
-            if not self.breaker.allow(key):
-                raise self.breaker.open_error(key)
-            builder = self.plan_cache.builder(key)
-            checker = (
-                self._checker_for(key, builder) if self._should_verify() else None
-            )
-            sample = (
-                self._sample_cols(block.shape[1]) if checker is not None else None
-            )
-            attempts = 1 + self.config.retries
-            for attempt in range(attempts):
-                try:
-                    # First attempt rides the configured executor; retries
-                    # fall back to a local solve, mirroring the coalesced
-                    # path's per-request fallback.
-                    work = self._solve_block_copy(
-                        key, builder, block, sharded=attempt == 0
-                    )
-                    if checker is not None:
-                        # *block* is the caller's unmodified right-hand side.
-                        self._verify_sample(
-                            checker, work[:, sample], block[:, sample]
-                        )
-                    self.breaker.record_success(key)
-                    return work
-                except Exception:  # noqa: BLE001
-                    if attempt + 1 >= attempts:
-                        self.telemetry.incr("engine.requests_failed")
-                        raise
-                    self.telemetry.incr("engine.request_retries")
-            raise AssertionError("unreachable")  # pragma: no cover
-        except Exception as exc:  # noqa: BLE001 - breaker accounting
-            if not getattr(exc, "short_circuited", False):
-                self.breaker.record_failure(key, exc)
-            raise
-        finally:
-            self._release(block.shape[1])
-
-    def _solve_block_copy(
-        self, key: PlanKey, builder, block: np.ndarray, sharded: bool = True
-    ) -> np.ndarray:
-        """Cast-copy *block* and solve it, process-sharded when configured.
-
-        Runs the same transport/degradation ladder as the coalesced path:
-        shared memory, then pickled shard transport on
-        :class:`~repro.runtime.shm.ShmError`, then a local solve (after a
-        degrade to threads) when the worker pool is exhausted.  The
-        restore callback recopies from the caller's *block*, which the
-        sharded paths never write to.
-        """
-        from repro.runtime.sharded import WorkerError
-
-        executor = self._use_sharded() if sharded else None
-        if executor is not None and block.shape[1] > 0:
-            lease = None
-            if not getattr(executor, "supports_shm", True):
-                # Wire transport (cluster): skip the shared-memory rung
-                # entirely — raw-byte shard transport is the native path,
-                # not a degradation, so no shm_fallback is counted.
-                pass
-            else:
-                try:
-                    lease = executor.lease(block.shape, builder.dtype)
-                except ShmError as exc:
-                    self.telemetry.incr("engine.shm_fallbacks")
-                    self.telemetry.event(
-                        "degradation", frm="shm", to="pickled", reason=str(exc)
-                    )
-                    _LOG.warning(
-                        "shared-memory lease failed (%s); using pickled shard "
-                        "transport for this block", exc,
-                    )
-            if lease is not None:
-                try:
-                    np.copyto(lease.array, block, casting="unsafe")
-                    with self.telemetry.span("engine.batch_solve"):
-                        try:
-                            executor.solve(
-                                key,
-                                lease,
-                                restore=lambda c0, c1: np.copyto(
-                                    lease.array[:, c0:c1],
-                                    block[:, c0:c1],
-                                    casting="unsafe",
-                                ),
-                            )
-                        except WorkerError as exc:
-                            if not executor.exhausted:
-                                raise
-                            self._degrade_to_threads(
-                                f"worker pool exhausted: {exc}"
-                            )
-                            np.copyto(lease.array, block, casting="unsafe")
-                            builder.solve(lease.array, in_place=True)
-                    return np.array(lease.array, copy=True, order="C")
-                finally:
-                    executor.release(lease)
-            work = np.array(block, dtype=builder.dtype, copy=True, order="C")
-            with self.telemetry.span("engine.batch_solve"):
-                try:
-                    executor.solve_array(key, work)
-                except WorkerError as exc:
-                    if not executor.exhausted:
-                        raise
-                    self._degrade_to_threads(f"worker pool exhausted: {exc}")
-                    np.copyto(work, block, casting="unsafe")
-                    builder.solve(work, in_place=True)
-            return work
-        work = np.array(block, dtype=builder.dtype, copy=True, order="C")
-        if self._faults is not None:
-            self._faults.fire("engine.batch_solve", key=key)
-        with self.telemetry.span("engine.batch_solve"):
-            builder.solve(work, in_place=True)
-        return work
 
     def warm_start(self) -> int:
         """Preload every readable durable plan entry into the plan cache.

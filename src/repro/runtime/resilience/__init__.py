@@ -15,20 +15,21 @@ CI by making every failure mode reproducible on demand:
   forced verification failure).  Off by default with zero hot-path cost;
   activated via ``EngineConfig(faults=...)`` or the ``REPRO_FAULT_PLAN``
   environment variable.
-* :mod:`~repro.runtime.resilience.supervisor` — health checks over the
-  sharded worker pool: dead (and hung) workers are detected, their
-  in-flight shards are restored and requeued to survivors, and the
-  worker is respawned under an exponential-backoff-with-jitter policy
-  bounded by a restart budget.
 * :mod:`~repro.runtime.resilience.circuit` — a per-plan-key circuit
   breaker (closed → open → half-open) that short-circuits known-failing
   plans into fast failures instead of burning full-cost retries.
 
+Worker-pool healing lives in the pool itself: the
+:class:`~repro.runtime.sharded.ShardedExecutor` monitor detects dead (and
+hung) workers, restores and requeues their in-flight shards onto
+survivors, and respawns them under exponential backoff with seeded
+jitter, bounded by a restart budget.
+
 The :class:`~repro.runtime.engine.SolveEngine` ties these into a
-graceful degradation ladder: ``processes`` falls back to ``threads``
-when the restart budget is spent, and to serial in-caller solves when
-the thread pool itself fails — every transition logged and counted, and
-no accepted request is ever silently dropped.
+graceful degradation ladder: ``processes`` (or ``cluster``) falls back
+to ``threads`` when the restart budget is spent, and to serial in-caller
+solves when the thread pool itself fails — every transition logged and
+counted, and no accepted request is ever silently dropped.
 """
 
 from repro.runtime.resilience.circuit import CircuitOpenError, PlanBreaker
@@ -39,7 +40,6 @@ from repro.runtime.resilience.faults import (
     FaultSpec,
     HOOK_SITES,
 )
-from repro.runtime.resilience.supervisor import SupervisorPolicy, WorkerSupervisor
 
 __all__ = [
     "FaultPlan",
@@ -49,6 +49,4 @@ __all__ = [
     "ENV_VAR",
     "PlanBreaker",
     "CircuitOpenError",
-    "WorkerSupervisor",
-    "SupervisorPolicy",
 ]

@@ -13,10 +13,11 @@ seeded list of :class:`FaultSpec` triggers bound to named hook points
                         before the factorization runs
  shm.acquire            :meth:`SharedBlockPool.acquire`, before a pooled
                         segment is handed out
- engine.dispatch        :meth:`SolveEngine._dispatch`, before a batch is
-                        submitted to the thread pool
- engine.rhs             after a coalesced batch is assembled (the hook
-                        receives the block — ``corrupt`` poisons it)
+ engine.dispatch        :meth:`SolveEngine._dispatch`, before a coalesced
+                        batch is submitted to the thread pool
+ engine.rhs             after a batch (coalesced or bulk) is assembled
+                        (the hook receives the block — ``corrupt``
+                        poisons it)
  engine.batch_solve     before a local (thread-path) batched solve
  engine.verify          inside the verify-on-solve sample, before the
                         backward-error check

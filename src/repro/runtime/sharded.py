@@ -26,17 +26,27 @@ distribute exactly this workload over nodes and worker partitions; the
   single-process path (the batched kernels treat columns independently —
   the same property the coalescer already relies on).
 
-Resilience (PR 5) extends the pool with a supervision API consumed by
-:class:`~repro.runtime.resilience.supervisor.WorkerSupervisor`: every
-in-flight shard is a :class:`_PendingTask` carrying everything needed to
-*reissue* it — its message tail, its restore callback (an interrupted
-in-place solve leaves partial garbage in the shared block, so the shard's
-columns are re-filled from the original request data before the retry),
-and its attempt count.  A dead worker's shards requeue onto survivors
-(bitwise-identical results, because shard boundaries and the kernels are
-deterministic), the rank respawns under the supervisor's backoff, and
-:meth:`solve_array` offers a pickled-transport fallback that keeps
-multi-core solving alive when shared memory itself is the failing part.
+The pool supervises itself.  Every in-flight shard is a
+:class:`_PendingTask` carrying everything needed to *reissue* it — its
+message tail, its restore callback (an interrupted in-place solve leaves
+partial garbage in the shared block, so the shard's columns are re-filled
+from the original request data before the retry), and its attempt count.
+A monitor thread sweeps the workers every ``_POLL_INTERVAL`` seconds:
+
+* a worker whose oldest in-flight shard outlived ``hang_timeout`` is
+  killed first, so a requeued shard never races a still-writing worker;
+* a dead worker's shards are restored and requeued onto survivors
+  (bitwise-identical results, because shard boundaries and the kernels
+  are deterministic), or parked on the rank until its respawn;
+* the rank respawns under exponential backoff with seeded jitter,
+  bounded by a pool-wide ``restart_budget``.  Once the budget is spent
+  the pool is :attr:`~ShardedExecutor.exhausted`, and the engine steps
+  down its degradation ladder (processes → threads).
+
+Deaths, hangs and respawns are counted (``supervisor.worker_deaths`` /
+``.respawns`` / ``.hangs`` / ``.budget_exhausted``,
+``sharded.requeued_shards``) and land in the telemetry ``supervisor``
+event ring.
 
 Wire-up is one knob: ``SolveEngine(executor="processes", num_workers=4)``
 — ``submit()``, ``map_batches()``, ``SplineBuilder(engine=...)`` and
@@ -47,9 +57,11 @@ snapshots merge into the engine's fleet view.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing as mp
 import multiprocessing.connection as mp_conn
 import pickle
+import random
 import signal
 import threading
 import time
@@ -79,10 +91,24 @@ DEFAULT_START_METHOD = _default_start_method()
 
 _STOP = "stop"
 _SOLVE = "solve"
-_SOLVE_ARR = "solve_arr"
 _SNAPSHOT = "snapshot"
 
-#: default seconds a dispatch will wait for the supervisor to bring a
+_LOG = logging.getLogger("repro.runtime.sharded")
+
+#: seconds between the monitor's health sweeps
+_POLL_INTERVAL = 0.05
+#: a rank's k-th respawn waits ``min(_BACKOFF_BASE * 2**k, _BACKOFF_MAX)``
+#: seconds before jitter
+_BACKOFF_BASE = 0.05
+_BACKOFF_MAX = 2.0
+#: fraction of each backoff delay randomized (±25 %), drawn from a stream
+#: seeded with ``_JITTER_SEED`` so chaos runs replay
+_JITTER = 0.25
+_JITTER_SEED = 0
+#: requeues one shard may consume before it fails permanently
+_MAX_SHARD_RETRIES = 4
+
+#: default seconds a dispatch will wait for the monitor to bring a
 #: worker back before giving up — well past the default backoff ceiling,
 #: so the only way to hit it is a pool that genuinely cannot heal.  Tuned
 #: for same-host pipes; configurable per executor (and scaled up by the
@@ -147,6 +173,12 @@ class WorkerError(ReproError, RuntimeError):
         if self.tenant is not None:
             context.append(f"tenant={self.tenant}")
         return f"{base} [{', '.join(context)}]" if context else base
+
+
+def _backoff_delay(attempt: int, rng: random.Random) -> float:
+    """The jittered delay before a rank's *attempt*-th respawn."""
+    delay = min(_BACKOFF_BASE * 2.0 ** max(0, attempt), _BACKOFF_MAX)
+    return delay * (1.0 + _JITTER * (2.0 * rng.random() - 1.0))
 
 
 def _portable_exception(exc: BaseException) -> BaseException:
@@ -247,27 +279,6 @@ def _worker_main(
             if kind == _SNAPSHOT:
                 result_conn.send((message[1], "ok", telemetry.snapshot()))
                 continue
-            if kind == _SOLVE_ARR:
-                task_id, key, shard, col0, col1 = message[1:]
-                try:
-                    if faults is not None:
-                        faults.fire(
-                            "sharded.worker_solve",
-                            worker=worker_id,
-                            key=key,
-                            cols=(col0, col1),
-                        )
-                    result_conn.send(
-                        (
-                            task_id,
-                            "ok",
-                            _solve_array_shard(cache, telemetry, key, shard),
-                        )
-                    )
-                except BaseException as exc:  # noqa: BLE001 - ship to parent
-                    telemetry.incr("worker.shard_failures")
-                    result_conn.send((task_id, "err", _portable_exception(exc)))
-                continue
             task_id, key, seg_name, shape, dtype_name, col0, col1 = message[1:]
             try:
                 if faults is not None:
@@ -310,22 +321,6 @@ def _solve_shard(
     telemetry.observe("worker.shard_cols", col1 - col0)
     with telemetry.span("worker.shard_solve"):
         builder.solve(block[:, col0:col1], in_place=True)
-
-
-def _solve_array_shard(cache, telemetry, key, shard: np.ndarray) -> np.ndarray:
-    """Solve a pickled-transport shard in place and return it.
-
-    The fallback path when shared memory is unavailable: the shard
-    arrived as its own array through the task queue, so the solved
-    coefficients ride the acknowledgement back the same way.
-    """
-    builder = cache.builder(key)
-    telemetry.incr("worker.shards_solved")
-    telemetry.incr("worker.pickled_shards")
-    telemetry.observe("worker.shard_cols", shard.shape[1])
-    with telemetry.span("worker.shard_solve"):
-        builder.solve(shard, in_place=True)
-    return shard
 
 
 class ShmLease:
@@ -383,33 +378,28 @@ class _PendingTask:
 
 
 class ShardedExecutor:
-    """Persistent worker-process pool solving column shards of batches.
+    """Self-healing worker-process pool solving column shards of batches.
 
     Parameters
     ----------
     num_workers:
-        Worker processes (and the widest column split of one block).
+        Worker processes, the widest column split of one block, and the
+        shared-memory segments kept warm (the engine's own thread bound).
     telemetry:
         Parent-side :class:`Telemetry` for shard accounting; worker-side
         telemetry lives in the workers and merges on demand.
-    start_method:
-        ``multiprocessing`` start method; default ``fork`` when available.
-    pool_blocks:
-        Shared-memory segments kept warm; bounds concurrently in-flight
-        blocks (default ``num_workers`` — the engine's own thread bound).
     faults:
         Optional :class:`~repro.runtime.resilience.faults.FaultPlan`.
         The parent fires ``sharded.dispatch`` and ``shm.acquire``; a
         serialized copy ships to every worker (including respawns) for
         ``sharded.worker_solve``.
-    supervise:
-        Run a :class:`~repro.runtime.resilience.supervisor.WorkerSupervisor`
-        next to the pool: dead workers respawn under backoff and their
-        in-flight shards requeue onto survivors.  Off by default at this
-        layer — the raw executor keeps PR 4's fail-fast semantics — and
-        switched on by :class:`~repro.runtime.engine.SolveEngine`.
-    policy:
-        Supervisor tunables (ignored unless ``supervise``).
+    restart_budget:
+        Pool-wide worker respawns allowed before the pool is declared
+        :attr:`exhausted` (0 — never respawn).
+    hang_timeout:
+        Seconds an in-flight shard may age before its worker is declared
+        hung and killed (``None`` — hang detection off).  Must exceed the
+        worst honest shard solve time.
     plan_store_dir:
         Optional durable :class:`~repro.runtime.durable.PlanStore`
         directory shared by every worker (spawned and respawned): each
@@ -421,25 +411,26 @@ class ShardedExecutor:
         module default, tuned for same-host pipes.
     """
 
-    #: this executor's shard transport can carry shared-memory leases
-    #: (the cluster executor's wire transport sets this False and the
-    #: engine skips the lease rung entirely)
-    supports_shm = True
-
     def __init__(
         self,
         num_workers: int,
         telemetry: Optional[Telemetry] = None,
-        start_method: Optional[str] = None,
-        pool_blocks: Optional[int] = None,
         faults=None,
-        supervise: bool = False,
-        policy=None,
+        restart_budget: int = 8,
+        hang_timeout: Optional[float] = None,
         plan_store_dir=None,
         live_wait_timeout: Optional[float] = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+        if restart_budget < 0:
+            raise ValueError(
+                f"restart_budget must be >= 0, got {restart_budget}"
+            )
+        if hang_timeout is not None and hang_timeout <= 0:
+            raise ValueError(
+                f"hang_timeout must be > 0 or None, got {hang_timeout}"
+            )
         if live_wait_timeout is not None and live_wait_timeout <= 0:
             raise ValueError(
                 f"live_wait_timeout must be > 0 or None, got {live_wait_timeout}"
@@ -454,7 +445,12 @@ class ShardedExecutor:
             None if plan_store_dir is None else str(plan_store_dir)
         )
         self._fault_json = faults.to_json() if faults is not None else None
-        self._ctx = mp.get_context(start_method or DEFAULT_START_METHOD)
+        self._hang_timeout = hang_timeout
+        self._restarts_left = int(restart_budget)
+        self._respawn_attempts: Dict[int, int] = {}
+        self._rng = random.Random(_JITTER_SEED)
+        self._exhausted = False
+        self._ctx = mp.get_context(DEFAULT_START_METHOD)
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
         self._pending: Dict[int, _PendingTask] = {}
@@ -480,7 +476,7 @@ class ShardedExecutor:
             self._procs.append(proc)
             self._reader_conns.append(rx)
         self._pool = SharedBlockPool(
-            blocks=pool_blocks if pool_blocks is not None else self.num_workers,
+            blocks=self.num_workers,
             faults=faults,
             telemetry=self.telemetry,
         )
@@ -489,19 +485,11 @@ class ShardedExecutor:
             target=self._collect_loop, name="repro-shard-collector", daemon=True
         )
         self._collector.start()
-        self._supervisor = None
-        if supervise:
-            from repro.runtime.resilience.supervisor import (
-                SupervisorPolicy,
-                WorkerSupervisor,
-            )
-
-            self._supervisor = WorkerSupervisor(
-                self,
-                policy if policy is not None else SupervisorPolicy(),
-                self.telemetry,
-            )
-            self._supervisor.start()
+        self._stop_monitor = threading.Event()
+        self._monitor = threading.Thread(
+            target=self._monitor_loop, name="repro-shard-monitor", daemon=True
+        )
+        self._monitor.start()
 
     # -- result plumbing -------------------------------------------------
 
@@ -565,7 +553,7 @@ class ShardedExecutor:
                 except (EOFError, OSError):
                     # This worker died (possibly mid-ack: a truncated
                     # message ends the stream).  Its pending shards are
-                    # the supervisor's job; only this pipe retires.
+                    # the monitor's job; only this pipe retires.
                     self._retire_conn(conn)
                     continue
                 except Exception:  # pragma: no cover - corrupt stream
@@ -606,10 +594,10 @@ class ShardedExecutor:
         Pick, register and queue-grab happen under one lock hold, so a
         shard can never be sent to a rank that was already marked down —
         and a rank that dies *after* the send still carries the shard in
-        ``_pending``, where the supervisor's requeue finds it.  With no
-        live rank the call waits for the supervisor to respawn one,
-        failing fast when the pool is closed, unsupervised, or exhausted
-        (never deadlocks: a hard timeout backstops the wait).
+        ``_pending``, where the monitor's requeue finds it.  With no live
+        rank the call waits for the monitor to respawn one, failing fast
+        when the pool is closed or exhausted (never deadlocks: a hard
+        timeout backstops the wait).
         """
         deadline = time.monotonic() + self.live_wait_timeout
         with self._lock:
@@ -628,14 +616,10 @@ class ShardedExecutor:
                     self._pending[task_id] = task
                     q = self._tasks[rank]
                     break
-                if self._supervisor is None or self._supervisor.exhausted:
+                if self._exhausted:
                     raise WorkerError(
-                        "no live worker processes"
-                        + (
-                            " and the restart budget is exhausted"
-                            if self._supervisor is not None
-                            else ""
-                        ),
+                        "no live worker processes and the restart budget "
+                        "is exhausted",
                         key=key,
                         cols=cols,
                     )
@@ -670,48 +654,39 @@ class ShardedExecutor:
         return states
 
     def _await(self, fut: Future, what: str):
-        """Wait on *fut*, watching worker liveness so a dead process
-        surfaces as :class:`WorkerError` instead of a silent hang.
+        """Wait on *fut* across worker deaths.
 
-        Under supervision the watching is the supervisor's job — every
-        pending shard is either acknowledged, requeued, or failed by it —
-        so the wait continues across worker deaths, with one backstop:
-        a future the pool no longer *tracks* (neither pending nor parked)
-        can never resolve, so after a few grace ticks it fails as
+        Every pending shard is acknowledged, requeued or failed by the
+        monitor, so the wait needs one backstop only: a future the pool
+        no longer *tracks* (neither pending nor parked) can never
+        resolve, so after a few grace ticks it fails as
         :class:`WorkerError` rather than hanging the caller forever.
         The grace period covers the honest untracked window while the
-        supervisor restores and reissues a requeued shard.
+        monitor restores and reissues a requeued shard.
         """
         untracked_ticks = 0
         while True:
             try:
                 return fut.result(timeout=1.0)
             except FutureTimeoutError:
-                if self._supervisor is not None:
-                    with self._lock:
-                        tracked = any(
-                            t.future is fut for t in self._pending.values()
-                        ) or any(
-                            t.future is fut
-                            for tasks in self._parked.values()
-                            for t in tasks
-                        )
-                    if tracked or fut.done():
-                        untracked_ticks = 0
-                        continue
-                    untracked_ticks += 1
-                    if untracked_ticks < 3:
-                        continue
-                    raise WorkerError(
-                        f"in-flight shard lost by the pool during {what} "
-                        "(neither pending, parked, nor resolved)"
-                    ) from None
-                dead = [p.name for p in self._procs if not p.is_alive()]
-                if dead and not self._closed:
-                    self._fail_pending(
-                        WorkerError(f"worker process died during {what}: {dead}")
+                with self._lock:
+                    tracked = any(
+                        t.future is fut for t in self._pending.values()
+                    ) or any(
+                        t.future is fut
+                        for tasks in self._parked.values()
+                        for t in tasks
                     )
-                    return fut.result(timeout=0)
+                if tracked or fut.done():
+                    untracked_ticks = 0
+                    continue
+                untracked_ticks += 1
+                if untracked_ticks < 3:
+                    continue
+                raise WorkerError(
+                    f"in-flight shard lost by the pool during {what} "
+                    "(neither pending, parked, nor resolved)"
+                ) from None
 
     def _fail_pending(self, exc: BaseException) -> None:
         with self._lock:
@@ -724,43 +699,108 @@ class ShardedExecutor:
             if not task.future.done():
                 task.future.set_exception(exc)
 
-    # -- the supervision API ----------------------------------------------
+    # -- supervision -------------------------------------------------------
     #
-    # Consumed by resilience.supervisor.WorkerSupervisor; everything here
-    # is safe to call from its monitor thread concurrently with solves.
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
+    # The monitor thread runs everything below, concurrently with solves.
 
     @property
     def exhausted(self) -> bool:
-        """True once the supervisor spent its restart budget (always
-        ``False`` for an unsupervised pool)."""
-        return self._supervisor is not None and self._supervisor.exhausted
+        """True once the restart budget is spent on an unrecoverable death."""
+        return self._exhausted
 
     @property
     def peak_lease_bytes(self) -> int:
         """Concurrent peak of shared-memory bytes leased for shard blocks."""
         return self._pool.peak_lease_bytes
 
-    @property
-    def supervisor(self):
-        return self._supervisor
+    def _monitor_loop(self) -> None:
+        while not self._stop_monitor.wait(timeout=_POLL_INTERVAL):
+            try:
+                self._sweep()
+            except Exception:  # pragma: no cover - never kill the monitor
+                _LOG.exception("worker-pool sweep failed")
 
-    def is_marked_live(self, rank: int) -> bool:
-        return self._live[rank]
+    def _sweep(self) -> None:
+        if self._closed:
+            return
+        if self._hang_timeout is not None:
+            now = time.monotonic()
+            for rank in range(self.num_workers):
+                if not self._live[rank]:
+                    continue
+                age = self._oldest_pending_age(rank, now)
+                if age is not None and age > self._hang_timeout:
+                    self.telemetry.incr("supervisor.hangs")
+                    self.telemetry.event(
+                        "supervisor", action="hang_kill", rank=rank, age=age
+                    )
+                    _LOG.warning(
+                        "worker %d hung for %.2fs (> %.2fs); terminating",
+                        rank, age, self._hang_timeout,
+                    )
+                    # Kill first: the requeue below must never race a
+                    # worker that is still writing into shared memory.
+                    self._terminate_worker(rank)
+        for rank in range(self.num_workers):
+            if self._live[rank] and not self._procs[rank].is_alive():
+                self._handle_death(rank)
 
-    def proc_alive(self, rank: int) -> bool:
-        return self._procs[rank].is_alive()
-
-    def mark_down(self, rank: int) -> None:
-        """Stop routing new shards at *rank* (its death is being handled)."""
+    def _handle_death(self, rank: int) -> None:
+        self.telemetry.incr("supervisor.worker_deaths")
         with self._lock:
-            self._live[rank] = False
+            self._live[rank] = False  # route no new shard at the rank
             self._cv.notify_all()
+        will_respawn = self._restarts_left > 0 and not self._closed
+        self.telemetry.event(
+            "supervisor",
+            action="worker_death",
+            rank=rank,
+            respawn=will_respawn,
+            restarts_left=self._restarts_left,
+        )
+        _LOG.warning(
+            "worker %d died (%s); requeueing its in-flight shards",
+            rank, "respawning" if will_respawn else "restart budget spent",
+        )
+        if self._restarts_left == 0 and not self._exhausted:
+            # Marked before the requeue fails any shard, so a caller that
+            # sees the failure also sees the exhaustion.
+            with self._lock:
+                self._exhausted = True
+                self._cv.notify_all()
+            self.telemetry.incr("supervisor.budget_exhausted")
+            self.telemetry.event(
+                "supervisor", action="budget_exhausted", rank=rank
+            )
+            _LOG.error("worker restart budget spent; pool marked exhausted")
+        # Move what can move to survivors right now; shards that cannot
+        # (no survivors) stay parked on the rank only if a respawn is
+        # coming to pick them up, otherwise they fail fast.
+        self._requeue_rank(rank, allow_park=will_respawn)
+        if not will_respawn:
+            return
+        self._restarts_left -= 1
+        attempt = self._respawn_attempts.get(rank, 0)
+        self._respawn_attempts[rank] = attempt + 1
+        delay = _backoff_delay(attempt, self._rng)
+        # Wait on the stop event so shutdown interrupts the backoff.
+        if self._stop_monitor.wait(timeout=delay) or self._closed:
+            return
+        if self._respawn(rank):
+            self.telemetry.incr("supervisor.respawns")
+            self.telemetry.event(
+                "supervisor",
+                action="respawn",
+                rank=rank,
+                attempt=attempt + 1,
+                backoff=delay,
+            )
+            _LOG.warning(
+                "worker %d respawned (attempt %d, backoff %.3fs)",
+                rank, attempt + 1, delay,
+            )
 
-    def terminate_worker(self, rank: int) -> None:
+    def _terminate_worker(self, rank: int) -> None:
         """Kill *rank* now (hang remediation) and wait until it is dead.
 
         The join matters: a requeued shard must never race a terminated
@@ -773,12 +813,12 @@ class ShardedExecutor:
             proc.kill()
             proc.join(timeout=2.0)
 
-    def oldest_pending_age(self, rank: int, now: float) -> Optional[float]:
+    def _oldest_pending_age(self, rank: int, now: float) -> Optional[float]:
         """Age in seconds of *rank*'s oldest in-flight shard, or ``None``."""
         with self._lock:
             oldest = None
             for task in self._pending.values():
-                if task.rank != rank or task.kind not in (_SOLVE, _SOLVE_ARR):
+                if task.rank != rank or task.kind != _SOLVE:
                     continue
                 if oldest is None or task.issued_at < oldest:
                     oldest = task.issued_at
@@ -822,18 +862,17 @@ class ShardedExecutor:
         q.put((task.kind, task_id) + task.tail)
         return True
 
-    def requeue_rank(
-        self, rank: int, max_retries: int, allow_park: bool = True
-    ) -> int:
-        """Move dead *rank*'s in-flight shards to survivors; return count.
+    def _requeue_rank(self, rank: int, allow_park: bool) -> None:
+        """Move dead *rank*'s in-flight shards to survivors.
 
         Each shard is **restored first** — its column range re-filled
         from the original request data — because the dead worker may
         have half-overwritten it in place; re-solving restored columns
         is bitwise identical to the undisturbed run.  A shard past
-        *max_retries* fails with full context.  With no survivor the
-        shard parks on *rank* when a respawn is coming (``allow_park``),
-        else fails fast.  Control messages (snapshot/stop) always fail.
+        ``_MAX_SHARD_RETRIES`` requeues fails with full context.  With no
+        survivor the shard parks on *rank* when a respawn is coming
+        (``allow_park``), else fails fast.  Control messages
+        (snapshot/stop) always fail.
         """
         with self._lock:
             victims = [
@@ -843,14 +882,13 @@ class ShardedExecutor:
             ]
             for task_id, _ in victims:
                 del self._pending[task_id]
-        requeued = 0
         for _, task in victims:
             if task.future.done():  # the ack beat the death notice
                 continue
-            if task.kind not in (_SOLVE, _SOLVE_ARR):
+            if task.kind != _SOLVE:
                 self._fail_task(task, rank, "worker died before answering")
                 continue
-            if task.attempt >= max_retries:
+            if task.attempt >= _MAX_SHARD_RETRIES:
                 self._fail_task(
                     task,
                     rank,
@@ -874,13 +912,11 @@ class ShardedExecutor:
                 self._fail_task(task, rank, "no live workers to requeue onto")
                 continue
             if self._reissue(task, target):
-                requeued += 1
                 self.telemetry.incr("sharded.requeued_shards")
             else:
                 self._fail_task(task, rank, "executor closed during requeue")
-        return requeued
 
-    def respawn(self, rank: int) -> bool:
+    def _respawn(self, rank: int) -> bool:
         """Relaunch dead *rank* with a **fresh task queue**, reissuing its
         parked shards; returns whether a new process is running.
 
@@ -1000,65 +1036,6 @@ class ShardedExecutor:
         if failure is not None:
             raise failure
 
-    def solve_array(
-        self, key, block: np.ndarray, restore: Optional[Callable] = None
-    ) -> None:
-        """Solve *block* in place, shipping shards as pickled arrays.
-
-        The degraded-transport rung of the resilience ladder: when the
-        shared-memory pool cannot serve (:class:`~repro.runtime.shm.ShmError`),
-        each shard travels through the task queue as its own array and
-        the solved coefficients ride the acknowledgement back.  Slower —
-        the shard bytes are pickled both ways — but still multi-core,
-        and bitwise identical (same decomposition, same kernels).  No
-        restore callback is needed for requeue: the queued tail holds
-        the parent's pristine copy of the shard.
-        """
-        n, cols = block.shape
-        if cols == 0:
-            return
-        ranks = min(self.num_workers, cols)
-        decomp = Decomposition(extent=cols, ranks=ranks)
-        self.telemetry.incr("sharded.pickled_blocks")
-        self.telemetry.observe("sharded.shards_per_block", ranks)
-        entries = []
-        failure: Optional[BaseException] = None
-        with self.telemetry.span("sharded.solve"):
-            for shard in range(ranks):
-                col0, col1 = decomp.bounds(shard)
-                if col1 == col0:
-                    continue  # zero-width block (ranks > extent): nothing to do
-                self.telemetry.observe("sharded.shard_cols", col1 - col0)
-                try:
-                    if self.faults is not None:
-                        self.faults.fire(
-                            "sharded.dispatch", key=key, cols=(col0, col1)
-                        )
-                    payload = np.ascontiguousarray(block[:, col0:col1])
-                    entries.append(
-                        (
-                            self._issue_live(
-                                (key, payload, col0, col1),
-                                _SOLVE_ARR,
-                                None,
-                                key,
-                                (col0, col1),
-                            ),
-                            col0,
-                            col1,
-                        )
-                    )
-                except BaseException as exc:  # noqa: BLE001 - drain first
-                    failure = exc
-                    break
-            for fut, col0, col1 in entries:
-                try:
-                    block[:, col0:col1] = self._await(fut, "a pickled shard solve")
-                except BaseException as exc:  # noqa: BLE001 - re-raise below
-                    failure = failure or exc
-        if failure is not None:
-            raise failure
-
     # -- telemetry and lifecycle ----------------------------------------
 
     def worker_snapshots(self, timeout: float = 10.0) -> List[dict]:
@@ -1094,10 +1071,11 @@ class ShardedExecutor:
         with self._lock:
             if self._closed:
                 return
-        # The supervisor goes first, so a worker we stop on purpose is
-        # not "healed" back into existence mid-shutdown.
-        if self._supervisor is not None:
-            self._supervisor.stop()
+        # The monitor goes first, so a worker we stop on purpose is not
+        # "healed" back into existence mid-shutdown; a pending respawn's
+        # backoff wait ends on the stop event.
+        self._stop_monitor.set()
+        self._monitor.join(timeout=2.0 * timeout)
         # The stop message doubles as the final snapshot request.
         finals = []
         try:

@@ -231,10 +231,14 @@ class TestClusterExecutor:
         drained and dropped — the re-issued delivery is the one applied."""
         faults = FaultPlan(
             [
+                # Worker ids follow registration order and the executor
+                # awaits each registration before spawning the next, so
+                # the last worker's lease cannot lapse before the block
+                # is submitted, however long a spawn takes.
                 FaultSpec(site="cluster.partition", kind="hang", delay=2.5,
-                          worker=0, times=None),
+                          worker=1, times=None),
                 FaultSpec(site="cluster.node_kill", kind="slow", delay=1.0,
-                          worker=0, times=None),
+                          worker=1, times=None),
             ]
         )
         cfg = ClusterConfig(heartbeat_interval=0.1, lease_timeout=0.45)
@@ -397,6 +401,17 @@ class TestEngineIntegration:
         assert counters["cluster.blocks"] >= 1
         # No shared memory across hosts — and no fallback noise either.
         assert counters.get("engine.shm_fallbacks", 0) == 0
+
+    def test_shutdown_stops_the_accept_thread(self):
+        def accept_threads():
+            return {
+                t for t in threading.enumerate()
+                if t.name == "repro-cluster-accept"
+            }
+
+        before = accept_threads()
+        SolveEngine(executor="cluster", num_workers=1).shutdown()
+        assert accept_threads() - before == set()
 
     def test_exhausted_fleet_degrades_to_threads(self, rng):
         plan = FaultPlan(

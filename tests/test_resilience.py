@@ -3,9 +3,9 @@
 Every recovery path the runtime claims is exercised here with injected
 failures: deterministic :class:`FaultPlan` triggers, worker crashes and
 hangs with respawn (bitwise parity against the undisturbed run), the
-per-plan circuit breaker lifecycle, the shared-memory → pickled-transport
-fallback, the processes → threads → serial degradation ladder, and the
-shm leak guards for abnormal owner exits.
+per-plan circuit breaker lifecycle, the local solve of a batch whose
+shared-memory lease failed, the processes → threads → serial degradation
+ladder, and the shm leak guards for abnormal owner exits.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import BSplineSpec
+from repro import BSplineSpec, SplineBuilder
 from repro.exceptions import (
     ReproError,
     SingularMatrixError,
@@ -40,14 +40,13 @@ from repro.runtime import (
     PlanKey,
     ShardedExecutor,
     SolveEngine,
-    SupervisorPolicy,
     Telemetry,
     WorkerError,
     merge_snapshots,
 )
 from repro.runtime.coalescer import CoalescedBatch, SolveRequest
 from repro.runtime.resilience.faults import ENV_VAR, HOOK_SITES
-from repro.runtime.resilience.supervisor import SupervisorPolicy as _Policy
+from repro.runtime.sharded import _backoff_delay
 from repro.runtime.shm import ShmError
 from repro.runtime.telemetry import DEFAULT_MAX_EVENTS
 
@@ -294,26 +293,19 @@ class TestPlanBreaker:
 
 class TestSupervisorPolicy:
     def test_validation(self):
+        # Rejected before any worker process starts.
         with pytest.raises(ValueError):
-            SupervisorPolicy(poll_interval=0)
+            ShardedExecutor(num_workers=1, restart_budget=-1)
         with pytest.raises(ValueError):
-            SupervisorPolicy(restart_budget=-1)
+            ShardedExecutor(num_workers=1, hang_timeout=0.0)
         with pytest.raises(ValueError):
-            SupervisorPolicy(jitter=2.0)
+            EngineConfig(restart_budget=-1)
         with pytest.raises(ValueError):
-            SupervisorPolicy(hang_timeout=0.0)
-        assert _Policy is SupervisorPolicy
+            EngineConfig(hang_timeout=0.0)
 
     def test_backoff_is_deterministic_and_bounded(self):
-        policy = SupervisorPolicy(
-            backoff_base=0.05,
-            backoff_factor=2.0,
-            backoff_max=2.0,
-            jitter=0.25,
-            seed=7,
-        )
-        a = [policy.backoff_delay(k, random.Random(7)) for k in range(8)]
-        b = [policy.backoff_delay(k, random.Random(7)) for k in range(8)]
+        a = [_backoff_delay(k, random.Random(7)) for k in range(8)]
+        b = [_backoff_delay(k, random.Random(7)) for k in range(8)]
         assert a == b
         for k, delay in enumerate(a):
             nominal = min(0.05 * 2.0**k, 2.0)
@@ -595,11 +587,7 @@ class TestProcessChaos:
         )
         telemetry = Telemetry()
         executor = ShardedExecutor(
-            num_workers=2,
-            telemetry=telemetry,
-            faults=plan,
-            supervise=True,
-            policy=SupervisorPolicy(poll_interval=0.02, backoff_base=0.01),
+            num_workers=2, telemetry=telemetry, faults=plan
         )
         try:
             key = PlanKey.from_spec(SPEC)
@@ -652,13 +640,7 @@ class TestProcessChaos:
         )
         telemetry = Telemetry()
         executor = ShardedExecutor(
-            num_workers=2,
-            telemetry=telemetry,
-            faults=plan,
-            supervise=True,
-            policy=SupervisorPolicy(
-                poll_interval=0.02, hang_timeout=0.3, backoff_base=0.01
-            ),
+            num_workers=2, telemetry=telemetry, faults=plan, hang_timeout=0.3
         )
         try:
             key = PlanKey.from_spec(SPEC)
@@ -751,39 +733,6 @@ class TestProcessChaos:
         assert ("processes", "threads") in transitions
         assert ("threads", "serial") in transitions
 
-    def test_shm_fault_falls_back_to_pickled_transport(self):
-        plan = FaultPlan([FaultSpec(site="shm.acquire", error="shm")])
-        blocks = [_rhs(8, seed=43)]
-        expected = _expected(blocks)
-        with SolveEngine(
-            executor="processes", num_workers=2, faults=plan, max_batch=64
-        ) as engine:
-            outs = engine.map_batches(SPEC, blocks)
-            snap = engine.telemetry_snapshot()
-            assert engine.degradation_level == "processes"  # no rung change
-        np.testing.assert_array_equal(outs[0], expected[0])
-        counters = snap["counters"]
-        assert counters["engine.shm_fallbacks"] == 1
-        assert counters["sharded.pickled_blocks"] == 1
-        assert counters["worker.pickled_shards"] >= 1  # merged from workers
-        transitions = [
-            (e["frm"], e["to"]) for e in snap["events"]["degradation"]
-        ]
-        assert ("shm", "pickled") in transitions
-
-    def test_solve_array_matches_shared_memory_path(self):
-        executor = ShardedExecutor(num_workers=2)
-        try:
-            key = PlanKey.from_spec(SPEC)
-            builder = key.make_builder()
-            rhs = _rhs(7, seed=47)
-            expected = builder.solve(rhs)
-            work = rhs.copy(order="C")
-            executor.solve_array(key, work)
-            np.testing.assert_array_equal(work, expected)
-        finally:
-            executor.shutdown()
-
     def test_parent_side_dispatch_fault_fails_batch_not_pool(self):
         plan = FaultPlan(
             [FaultSpec(site="sharded.dispatch", error="worker")]
@@ -801,11 +750,70 @@ class TestProcessChaos:
             finally:
                 executor.release(lease)
             assert executor.alive()  # the pool survived the parent fault
-            work = rhs.copy(order="C")
-            executor.solve_array(key, work)
-            np.testing.assert_array_equal(work, builder.solve(rhs))
+            lease = executor.lease(rhs.shape, np.float64)
+            try:
+                np.copyto(lease.array, rhs)
+                executor.solve(key, lease)
+                np.testing.assert_array_equal(lease.array, builder.solve(rhs))
+            finally:
+                executor.release(lease)
         finally:
             executor.shutdown()
+
+
+#: the faults of each processes-engine rung: none, one failed shared-memory
+#: lease (that batch solves locally), and every worker crashing with no
+#: restart budget (the engine degrades to threads)
+_LADDER_FAULTS = {
+    "clean": [],
+    "shm_acquire": [FaultSpec(site="shm.acquire", error="shm")],
+    "pool_exhausted": [
+        FaultSpec(site="sharded.worker_solve", kind="crash", worker=0),
+        FaultSpec(site="sharded.worker_solve", kind="crash", worker=1),
+    ],
+}
+
+
+@pytest.mark.parametrize("entry", ["submit", "map_batches"])
+@pytest.mark.parametrize("fault", sorted(_LADDER_FAULTS))
+def test_ladder_parity(fault, entry):
+    """Every rung answers bitwise like a direct solve, and drops nothing."""
+    rhs = _rhs(12, seed=71)
+    expected = SplineBuilder(SPEC).solve(rhs)
+    with SolveEngine(
+        executor="processes",
+        num_workers=2,
+        faults=FaultPlan(_LADDER_FAULTS[fault]),
+        restart_budget=0,
+        max_batch=rhs.shape[1],  # the 12th submit cuts the one batch
+        max_linger=60.0,
+    ) as engine:
+
+        def solve_all() -> np.ndarray:
+            if entry == "map_batches":
+                return engine.map_batches(SPEC, [rhs])[0]
+            futures = [engine.submit(SPEC, col) for col in rhs.T]
+            return np.stack([f.result(timeout=60) for f in futures], axis=1)
+
+        np.testing.assert_array_equal(solve_all(), expected)
+        blocks = engine.telemetry.counter("sharded.blocks")
+        np.testing.assert_array_equal(solve_all(), expected)
+        counters = engine.telemetry.snapshot()["counters"]
+        if fault == "pool_exhausted":
+            assert engine.degradation_level == "threads"
+            assert counters["engine.degraded_to_threads"] == 1
+        else:
+            # the batch after a failed lease rides shared memory again
+            assert engine.degradation_level == "processes"
+            assert counters["sharded.blocks"] > blocks
+            assert counters.get("engine.shm_fallbacks", 0) == (
+                1 if fault == "shm_acquire" else 0
+            )
+    submitted = counters.get("engine.requests_submitted", 0) + counters.get(
+        "engine.bulk_blocks_submitted", 0
+    )
+    assert submitted == counters["engine.requests_completed"]
+    assert counters.get("engine.quarantined", 0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -882,6 +890,28 @@ def test_engine_shutdown_leaves_no_segments_behind():
         assert not os.path.exists(os.path.join("/dev/shm", name))
 
 
+def test_shutdown_with_pending_respawn_leaves_nothing_behind():
+    # A worker killed just before shutdown leaves its respawn pending (in
+    # backoff or mid-spawn) when the engine stops; whichever it is, the
+    # monitor, every worker process and every segment must be gone after.
+    with SolveEngine(executor="processes", num_workers=2, max_batch=16) as eng:
+        eng.solve(SPEC, _rhs(4, seed=83))
+        pool = eng._sharded
+        names = [b.name for b in pool._pool._free]
+        os.kill(pool._procs[0].pid, signal.SIGKILL)
+        deadline = time.monotonic() + 30.0
+        while (
+            eng.telemetry.counter("supervisor.worker_deaths") < 1
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.005)
+        assert eng.telemetry.counter("supervisor.worker_deaths") == 1
+    assert not pool._monitor.is_alive()
+    assert not any(proc.is_alive() for proc in pool._procs)
+    for name in names:
+        assert not os.path.exists(os.path.join("/dev/shm", name))
+
+
 # ---------------------------------------------------------------------------
 # Hot-path guarantee: no faults, no overhead machinery engaged
 # ---------------------------------------------------------------------------
@@ -925,7 +955,7 @@ _CAMPAIGN_CHILD = r"""
 import json, os, sys
 sys.path.insert(0, {src!r})
 import numpy as np
-from repro import BSplineSpec
+from repro import BSplineSpec, SplineBuilder
 from repro.runtime import EngineConfig, FaultPlan, FaultSpec, SolveEngine
 from repro.runtime.durable import MemmapRHS, run_campaign
 

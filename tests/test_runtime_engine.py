@@ -273,6 +273,8 @@ class TestEngine:
         with SolveEngine() as engine:
             with pytest.raises(ShapeError):
                 engine.submit(SPEC, np.zeros(63))
+            with pytest.raises(ShapeError):
+                engine.map_batches(SPEC, [np.zeros((64, 2)), np.zeros((63, 2))])
             assert engine.inflight_cols == 0
 
     def test_config_overrides_and_validation(self):
