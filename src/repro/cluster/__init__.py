@@ -12,20 +12,16 @@ single-host :class:`~repro.runtime.sharded.ShardedExecutor` to a fleet:
 * :mod:`repro.cluster.coordinator` — registration + heartbeat leases
   (a lapsed lease is a lost node), shard re-issue onto survivors under
   fresh task ids (late acks drop; every shard applies exactly once),
-  parking when no survivor exists yet;
+  parking when no survivor exists yet, speculative duplicates of
+  straggling shards;
 * :mod:`repro.cluster.executor` — the engine-facing facade
-  (``EngineConfig(executor="cluster")``): owns the loopback fleet,
-  respawns under a restart budget, degrades to threads when exhausted;
+  (``EngineConfig(executor="cluster")``): runs the coordinator in the
+  engine process, owns the loopback fleet, respawns under a restart
+  budget, degrades to threads when exhausted;
 * :mod:`repro.cluster.elastic` — backlog-driven scale-up/down between
   the policy's bounds;
-* :mod:`repro.cluster.journal` — the coordinator's write-ahead shard
-  journal and result spool (torn tails quarantined, corrupt spools
-  evicted and re-solved — never a wrong answer);
-* :mod:`repro.cluster.ha` — out-of-process coordinator hosts: a
-  journaled primary plus a warm standby that replays the journal and
-  takes over on primary death, invisibly to the engine;
-* :mod:`repro.cluster.config` — every knob, lease clock to elasticity
-  to speculation and standby.
+* :mod:`repro.cluster.config` — every knob, lease clock to elasticity,
+  speculation and rejoin.
 
 Quickstart (one process, four loopback-TCP workers)::
 
@@ -46,13 +42,6 @@ from repro.cluster.config import ClusterConfig, ElasticPolicy
 from repro.cluster.coordinator import Coordinator
 from repro.cluster.elastic import ElasticController
 from repro.cluster.executor import ClusterExecutor
-from repro.cluster.ha import HAFleet
-from repro.cluster.journal import (
-    JournalError,
-    JournalReplay,
-    ShardJournal,
-    replay_journal,
-)
 
 __all__ = [
     "ClusterConfig",
@@ -60,9 +49,4 @@ __all__ = [
     "Coordinator",
     "ClusterExecutor",
     "ElasticController",
-    "HAFleet",
-    "ShardJournal",
-    "JournalReplay",
-    "JournalError",
-    "replay_journal",
 ]

@@ -87,37 +87,14 @@ class ClusterConfig:
         shards before closing it anyway.
     elastic:
         An :class:`ElasticPolicy`, or ``None`` for a fixed-size fleet.
-    standby:
-        Host the coordinator out-of-process with a warm standby that
-        replays the shard journal and takes over on primary death
-        (:mod:`repro.cluster.ha`).  Requires *journal_dir*; mutually
-        exclusive with *elastic* (the HA control plane has no retire
-        plumbing).
-    journal_dir:
-        Directory for the write-ahead shard journal and result spool
-        (:mod:`repro.cluster.journal`); required when *standby* is on.
-    speculate:
-        Duplicate a straggling shard onto another live worker when its
-        age exceeds the speculative threshold — first ack wins, the
-        loser's ack drops as stale.
     speculative_age:
-        Fixed age (seconds) past which an in-flight shard is
-        speculatively duplicated; ``None`` derives the threshold from
-        observed shard latencies (``speculative_factor`` × p99, once
-        ``speculative_min_samples`` completions have been seen).
-    speculative_factor:
-        Multiplier on the observed p99 shard latency when
-        *speculative_age* is ``None``.
-    speculative_min_samples:
-        Completed-shard latencies required before the p99-derived
-        threshold engages (a cold fleet must not speculate on noise).
-    worker_rejoin:
-        Let a lost-but-alive worker (healed partition) re-dial and
-        re-REGISTER under a fresh worker id instead of being reaped at
-        shutdown; the executor defers respawning it for *rejoin_grace*.
+        Age (seconds) past which an in-flight shard is duplicated onto
+        another live worker — first ack wins, the loser's ack drops as
+        stale.  ``None`` (the default) turns speculation off.
     rejoin_grace:
-        Seconds the executor waits for a lost-but-alive owned worker to
-        re-register before falling back to respawn/zombie handling.
+        Seconds the executor waits for a lost-but-alive owned worker (a
+        healed partition) to re-dial and re-REGISTER under a fresh
+        worker id before falling back to respawn/zombie handling.
     """
 
     host: str = "127.0.0.1"
@@ -129,13 +106,7 @@ class ClusterConfig:
     connect_timeout: float = 10.0
     drain_timeout: float = 5.0
     elastic: Optional[ElasticPolicy] = None
-    standby: bool = False
-    journal_dir: Optional[str] = None
-    speculate: bool = False
     speculative_age: Optional[float] = None
-    speculative_factor: float = 3.0
-    speculative_min_samples: int = 20
-    worker_rejoin: bool = True
     rejoin_grace: float = 5.0
 
     def __post_init__(self) -> None:
@@ -176,31 +147,10 @@ class ClusterConfig:
                 f"elastic must be an ElasticPolicy or None, "
                 f"got {type(self.elastic).__name__}"
             )
-        if self.standby:
-            if self.elastic is not None:
-                raise ValueError(
-                    "standby and elastic are mutually exclusive: the HA "
-                    "control plane has no retire plumbing"
-                )
-            if not self.journal_dir:
-                raise ValueError(
-                    "standby=True requires journal_dir (the takeover "
-                    "replays the shard journal)"
-                )
         if self.speculative_age is not None and self.speculative_age <= 0:
             raise ValueError(
                 f"speculative_age must be > 0 or None, "
                 f"got {self.speculative_age}"
-            )
-        if self.speculative_factor < 1.0:
-            raise ValueError(
-                f"speculative_factor must be >= 1, "
-                f"got {self.speculative_factor}"
-            )
-        if self.speculative_min_samples < 1:
-            raise ValueError(
-                f"speculative_min_samples must be >= 1, "
-                f"got {self.speculative_min_samples}"
             )
         if self.rejoin_grace <= 0:
             raise ValueError(

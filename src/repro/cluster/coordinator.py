@@ -24,25 +24,15 @@ Loss handling generalizes the reissuable ``_PendingTask`` bookkeeping:
   elastic controller or the executor's respawn brings one), failing
   only when its delivery-attempt budget is spent.
 
-Three crash-recovery mechanisms ride on the same bookkeeping:
+**Speculative execution** rides on the same bookkeeping: a shard older
+than ``speculative_age`` is duplicated onto another live worker; the
+pending map holds both task ids against one shard, the first ack
+resolves it (popping every sibling id), and the loser's ack drops as
+stale (``cluster.speculative_issued`` / ``speculative_wins``).
 
-* **Epoch fencing** — every WELCOME and SHARD carries the coordinator's
-  *epoch* (bumped by a standby takeover, :mod:`repro.cluster.ha`) and
-  every ack echoes it; an ack whose epoch is not ours is dropped before
-  it can touch the pending map (``cluster.stale_epoch_acks_dropped``).
-  Belt and braces with fresh-task-id dropping: a promoted coordinator's
-  task ids start where the journal says the primary stopped, but a
-  worker finishing a shard from the previous era must be fenced even if
-  an id were ever reused.
-* **Write-ahead journaling** — when a :class:`~repro.cluster.journal.ShardJournal`
-  is attached, every issue and requeue is fsynced *before* the shard
-  frame is sent, so a replayed journal's task floor exceeds any id a
-  worker ever saw.
-* **Speculative execution** — a shard whose age exceeds a configured
-  (or p99-derived) threshold is duplicated onto another live worker;
-  the pending map holds both task ids against one shard, the first ack
-  resolves it (popping every sibling id), and the loser's ack drops as
-  stale (``cluster.speculative_issued`` / ``speculative_wins``).
+The coordinator runs inside the engine process and lives exactly as
+long as it: long work survives an engine restart through the campaign
+checkpoint and the durable plan store, not through the coordinator.
 
 The wire is :mod:`repro.cluster.wire` — the service framing with raw
 C-order shard bytes, so no right-hand-side data is ever pickled.
@@ -53,7 +43,6 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future
 from typing import Callable, Dict, List, Optional
 
@@ -78,10 +67,6 @@ from repro.service.protocol import ProtocolError, read_frame, write_frame
 
 __all__ = ["Coordinator"]
 
-#: completed-shard latency samples retained for the p99-derived
-#: speculative threshold
-_LATENCY_WINDOW = 512
-
 
 class _PendingShard:
     """One in-flight shard and everything needed to reissue it.
@@ -94,10 +79,10 @@ class _PendingShard:
 
     __slots__ = (
         "future", "key", "payload", "col0", "col1", "attempt",
-        "copies", "spec_ids", "issued_at", "shard_id",
+        "copies", "spec_ids", "issued_at",
     )
 
-    def __init__(self, key, payload, col0, col1, shard_id=None) -> None:
+    def __init__(self, key, payload, col0, col1) -> None:
         self.future: Future = Future()
         self.key = key
         self.payload = payload
@@ -107,7 +92,6 @@ class _PendingShard:
         self.copies: Dict[int, int] = {}  # task id -> worker id
         self.spec_ids: set = set()
         self.issued_at = time.monotonic()
-        self.shard_id = shard_id
 
     @property
     def worker_id(self) -> Optional[int]:
@@ -158,17 +142,6 @@ class Coordinator:
     plan_store_dir:
         Durable plan-store directory shipped in WELCOME so remote nodes
         warm-start from (and write back to) the same store.
-    epoch:
-        This coordinator's era, carried in WELCOME and every SHARD and
-        checked against every ack; a standby takeover constructs its
-        coordinator with the journal's epoch + 1.
-    journal:
-        Optional :class:`~repro.cluster.journal.ShardJournal`; issue and
-        requeue transitions are fsynced to it before the corresponding
-        frame is sent.
-    next_task:
-        Task-id floor (a replayed journal's ``next_task``), so no id a
-        worker ever saw is reused by a promoted coordinator.
     on_worker_lost:
         Callback ``(worker_id, reason)`` fired after a loss is handled
         (shards requeued) — the executor uses it to respawn owned nodes.
@@ -184,9 +157,6 @@ class Coordinator:
         faults=None,
         live_wait_timeout: float = 30.0,
         plan_store_dir: Optional[str] = None,
-        epoch: int = 0,
-        journal=None,
-        next_task: int = 0,
         on_worker_lost: Optional[Callable[[int, str], None]] = None,
         on_worker_registered: Optional[Callable[[int, Optional[int]], None]] = None,
     ) -> None:
@@ -196,8 +166,6 @@ class Coordinator:
         self._fault_json = faults.to_json() if faults is not None else None
         self.live_wait_timeout = float(live_wait_timeout)
         self.plan_store_dir = plan_store_dir
-        self.epoch = int(epoch)
-        self.journal = journal
         self._on_lost = on_worker_lost
         self._on_registered = on_worker_registered
         self._lock = threading.Lock()
@@ -207,9 +175,8 @@ class Coordinator:
         self._parked: List[_PendingShard] = []
         self._snapshot_waiters: Dict[int, Future] = {}
         self._final_snapshots: List[dict] = []
-        self._latencies: deque = deque(maxlen=_LATENCY_WINDOW)
         self._next_worker = 0
-        self._next_task = int(next_task)
+        self._next_task = 0
         self._next_req = 0
         self._rr = 0
         self._closed = False
@@ -220,19 +187,12 @@ class Coordinator:
 
     # -- lifecycle -------------------------------------------------------
 
-    def start(self, listener: Optional[socket.socket] = None) -> None:
-        """Bind, listen, and start the accept + lease-monitor threads.
-
-        A pre-bound, already-listening *listener* may be handed in — a
-        standby host binds its worker port at boot (so the workers'
-        failover address list is valid from the start) but only
-        constructs and starts its coordinator on activation.
-        """
-        if listener is None:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.config.host, self.config.port))
-            listener.listen(64)
+    def start(self) -> None:
+        """Bind, listen, and start the accept + lease-monitor threads."""
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((self.config.host, self.config.port))
+        listener.listen(64)
         self._listener = listener
         self._port = listener.getsockname()[1]
         self._accept_thread = threading.Thread(
@@ -282,8 +242,7 @@ class Coordinator:
                 pass
         if self._listener is not None:
             # close() alone does not wake an accept() blocked in another
-            # thread on Linux; shutdown() does.  A bound socket that never
-            # listened (an HA standby's) has nothing to wake.
+            # thread on Linux; shutdown() does.
             try:
                 self._listener.shutdown(socket.SHUT_RDWR)
             except OSError:
@@ -344,7 +303,6 @@ class Coordinator:
                         self.config.lease_timeout,
                         fault_json=self._fault_json,
                         plan_store_dir=self.plan_store_dir,
-                        epoch=self.epoch,
                     ),
                 )
         except OSError:
@@ -399,10 +357,10 @@ class Coordinator:
                     with self._lock:
                         worker.last_beat = time.monotonic()
                 elif ftype == ClusterFrame.SHARD_OK:
-                    task_id, solved, epoch = decode_shard_ok(payload)
-                    self._resolve(task_id, solved, None, worker, epoch)
+                    task_id, solved = decode_shard_ok(payload)
+                    self._resolve(task_id, solved, None, worker)
                 elif ftype == ClusterFrame.SHARD_ERR:
-                    task_id, error, message, epoch = decode_shard_err(payload)
+                    task_id, error, message = decode_shard_err(payload)
                     self._resolve(
                         task_id,
                         None,
@@ -410,7 +368,6 @@ class Coordinator:
                             f"{error}: {message}", worker_id=worker.worker_id
                         ),
                         worker,
-                        epoch,
                     )
                 elif ftype == ClusterFrame.SNAPSHOT:
                     req, snapshot = decode_snapshot(payload)
@@ -436,27 +393,14 @@ class Coordinator:
         solved: Optional[np.ndarray],
         error: Optional[BaseException],
         worker: _WorkerConn,
-        epoch: int = 0,
     ) -> None:
         """Apply one acknowledgement — or drop it as stale, exactly once.
 
-        Two fences guard the pending map.  An ack carrying a foreign
-        *epoch* was solved for a previous coordinator era (the worker
-        re-registered across a takeover mid-solve) and is dropped before
-        it can touch anything — its task id may legitimately belong to a
-        different shard in this era.  A task id absent from the pending
-        map was re-issued, speculatively outraced, or already resolved:
-        the ack is counted as dropped and its payload discarded, which
-        is the mechanism behind the zero-double-solve guarantee.
+        A task id absent from the pending map was re-issued,
+        speculatively outraced, or already resolved: the ack is counted
+        as dropped and its payload discarded, which is the mechanism
+        behind the zero-double-solve guarantee.
         """
-        if epoch != self.epoch:
-            self.telemetry.incr("cluster.stale_epoch_acks_dropped")
-            self.telemetry.event(
-                "cluster.stale_epoch_ack",
-                worker=worker.worker_id, task=task_id,
-                ack_epoch=epoch, epoch=self.epoch,
-            )
-            return
         with self._lock:
             shard = self._pending.pop(task_id, None)
             if shard is not None:
@@ -477,51 +421,35 @@ class Coordinator:
         if speculative_win:
             self.telemetry.incr("cluster.speculative_wins")
             self.telemetry.event(
-                "cluster.speculative_win",
-                worker=worker.worker_id, task=task_id, shard=shard.shard_id,
+                "cluster.speculative_win", worker=worker.worker_id, task=task_id
             )
         if error is not None:
             error.key = shard.key
             error.cols = (shard.col0, shard.col1)
             error.attempt = shard.attempt
-            if self.journal is not None and shard.shard_id is not None:
-                self.journal.append(
-                    "fail", shard=shard.shard_id,
-                    error=type(error).__name__, message=str(error),
-                )
             shard.future.set_exception(error)
             self.telemetry.incr("cluster.shards_failed")
         else:
             self.telemetry.observe(
                 "cluster.shard_seconds", time.monotonic() - shard.issued_at
             )
-            self._latencies.append(time.monotonic() - shard.issued_at)
             shard.future.set_result(solved)
             self.telemetry.incr("cluster.shards_completed")
 
-    def submit(
-        self, key, payload: np.ndarray, col0: int, col1: int, shard_id=None
-    ) -> Future:
+    def submit(self, key, payload: np.ndarray, col0: int, col1: int) -> Future:
         """Route one column shard to a live worker; future → solved array.
 
         Blocks up to ``live_wait_timeout`` for a live worker (one may be
         respawning); a fleet that cannot heal in that window fails with
         a :class:`WorkerError` naming every worker's lease state.
-        *shard_id* tags the shard in journal records (the HA host passes
-        the executor-chosen id).
         """
-        shard = _PendingShard(key, payload, col0, col1, shard_id=shard_id)
+        shard = _PendingShard(key, payload, col0, col1)
         self.telemetry.incr("cluster.shards_submitted")
         self._issue(shard)
         return shard.future
 
     def _issue(self, shard: _PendingShard, speculative: bool = False) -> None:
-        """Assign *shard* to a live worker (fresh task id) and send it.
-
-        The journal record (when a journal is attached) is fsynced
-        *before* the frame is sent — write-ahead, so a replay's task
-        floor covers every id a worker could ever have seen.
-        """
+        """Assign *shard* to a live worker (fresh task id) and send it."""
         deadline = time.monotonic() + self.live_wait_timeout
         with self._cv:
             while True:
@@ -557,16 +485,9 @@ class Coordinator:
                         cols=(shard.col0, shard.col1),
                     )
                 self._cv.wait(timeout=min(0.05, remaining))
-        if self.journal is not None and shard.shard_id is not None:
-            self.journal.append(
-                "speculate" if speculative else "issue",
-                shard=shard.shard_id, task=task_id,
-                worker=worker.worker_id, epoch=self.epoch,
-            )
         try:
             frame = encode_shard(
-                task_id, shard.key, shard.payload, shard.col0, shard.col1,
-                epoch=self.epoch,
+                task_id, shard.key, shard.payload, shard.col0, shard.col1
             )
             with worker.send_lock:
                 write_frame(worker.sock, frame)
@@ -588,20 +509,10 @@ class Coordinator:
                 cols=(shard.col0, shard.col1),
                 attempt=shard.attempt,
             )
-            if self.journal is not None and shard.shard_id is not None:
-                self.journal.append(
-                    "fail", shard=shard.shard_id,
-                    error="WorkerError", message=str(error),
-                )
             shard.future.set_exception(error)
             self.telemetry.incr("cluster.shards_failed")
             return
         self.telemetry.incr("cluster.shards_reissued")
-        if self.journal is not None and shard.shard_id is not None:
-            self.journal.append(
-                "requeue", shard=shard.shard_id,
-                attempt=shard.attempt, epoch=self.epoch,
-            )
         with self._lock:
             if not self._closed and self._live_count_locked() == 0:
                 # No survivor right now: park rather than block the loss
@@ -620,20 +531,9 @@ class Coordinator:
 
     # -- speculation -----------------------------------------------------
 
-    def _speculative_threshold(self) -> Optional[float]:
-        """Age (seconds) past which an in-flight shard is duplicated."""
-        if not self.config.speculate:
-            return None
-        if self.config.speculative_age is not None:
-            return self.config.speculative_age
-        if len(self._latencies) < self.config.speculative_min_samples:
-            return None
-        p99 = float(np.percentile(np.asarray(self._latencies), 99.0))
-        return self.config.speculative_factor * max(p99, 1e-6)
-
     def _speculate_sweep(self) -> None:
         """Duplicate stragglers onto other live workers, one copy each."""
-        threshold = self._speculative_threshold()
+        threshold = self.config.speculative_age
         if threshold is None:
             return
         now = time.monotonic()
@@ -661,19 +561,18 @@ class Coordinator:
         if len(shard.copies) > before:
             self.telemetry.incr("cluster.speculative_issued")
             self.telemetry.event(
-                "cluster.speculate", shard=shard.shard_id,
-                cols=(shard.col0, shard.col1),
+                "cluster.speculate", cols=(shard.col0, shard.col1)
             )
 
     # -- loss detection --------------------------------------------------
 
     def _monitor_loop(self) -> None:
         """Sweep leases (a worker silent past ``lease_timeout`` is lost)
-        and straggling shards (older than the speculative threshold)."""
+        and straggling shards (older than ``speculative_age``)."""
         tick = min(
             self.config.heartbeat_interval, self.config.lease_timeout / 4.0
         )
-        if self.config.speculate and self.config.speculative_age is not None:
+        if self.config.speculative_age is not None:
             tick = min(tick, self.config.speculative_age / 2.0)
         while not self._closed:
             time.sleep(tick)
@@ -813,17 +712,6 @@ class Coordinator:
             worker = self._workers.get(worker_id)
             return None if worker is None else worker.pid
 
-    def worker_census(self) -> Dict[int, Optional[int]]:
-        """``{worker_id: pid}`` of every live worker (the FLEET frame)."""
-        with self._lock:
-            return {
-                w.worker_id: w.pid for w in self._workers.values() if w.live
-            }
-
-    def pending_count(self) -> int:
-        with self._lock:
-            return len(self._pending) + len(self._parked)
-
     def backlog(self) -> float:
         """In-flight shards per live worker — the elastic signal."""
         with self._lock:
@@ -867,7 +755,7 @@ class Coordinator:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         with self._lock:
             return (
-                f"Coordinator(port={self._port}, epoch={self.epoch}, "
+                f"Coordinator(port={self._port}, "
                 f"workers={len(self._workers)}, "
                 f"live={self._live_count_locked()}, "
                 f"pending={len(self._pending)}, closed={self._closed})"

@@ -4,9 +4,10 @@
 plugs into the :class:`~repro.runtime.engine.SolveEngine`: the same
 ``lease`` / ``solve`` / ``release`` contract as the single-host
 :class:`~repro.runtime.sharded.ShardedExecutor`, with the worker pool
-generalized to TCP nodes behind a :class:`~repro.cluster.coordinator.Coordinator`.
-A lease here is a private block, not shared memory: shards travel from
-it as raw bytes over TCP (:meth:`ClusterExecutor.solve_array`).
+generalized to TCP nodes behind a :class:`~repro.cluster.coordinator.Coordinator`
+that runs in the engine process.  A lease here is a private block, not
+shared memory: shards travel from it as raw bytes over TCP
+(:meth:`ClusterExecutor.solve_array`).
 
 The executor owns its local fleet: it spawns ``num_workers`` loopback
 worker processes (``spawn`` start method — the coordinator's threads are
@@ -18,22 +19,11 @@ the fleet on the coordinator's backlog signal.  Remote nodes started by
 hand (``python -m repro.cluster.worker``) join the same fleet; the
 executor simply does not own their processes.
 
-Two resilience refinements on top of respawn:
-
-* **Rejoin grace** — a lost-but-alive owned worker (a healed partition)
-  is given ``rejoin_grace`` seconds to re-dial and re-REGISTER under a
-  fresh worker id before the executor falls back to the old
-  zombie/respawn handling; a transient partition shrinks the fleet only
-  transiently and costs no respawn budget
-  (``cluster.workers_rejoined``).
-
-* **Standby takeover** — with ``ClusterConfig(standby=True)`` the
-  coordinator itself moves out-of-process behind an
-  :class:`~repro.cluster.ha.HAFleet`: a journaled primary plus a warm
-  standby, SIGKILL-survivable, with the engine-facing futures never
-  observing a takeover.  Workers are spawned with the two hosts' worker
-  ports as their dial/failover list and re-dial on their own across a
-  takeover, so the executor only respawns workers whose *process* died.
+On top of respawn, a lost-but-alive owned worker (a healed partition)
+is given ``rejoin_grace`` seconds to re-dial and re-REGISTER under a
+fresh worker id before the executor falls back to the zombie/respawn
+handling; a transient partition shrinks the fleet only transiently and
+costs no respawn budget (``cluster.workers_rejoined``).
 
 The default ``live_wait_timeout`` scales with the transport: where the
 single-host pool waits 30 s on same-host pipes, the cluster waits at
@@ -45,7 +35,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import threading
-import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from types import SimpleNamespace
 from typing import Dict, List, Optional
@@ -78,7 +67,6 @@ class ClusterExecutor:
         Optional :class:`~repro.runtime.resilience.faults.FaultPlan`;
         serialized to every node (``cluster.partition`` /
         ``cluster.node_kill`` / ``cluster.shard_slow`` fire worker-side,
-        ``cluster.coordinator_kill`` in the HA hosts,
         ``sharded.dispatch`` parent-side).
     restart_budget:
         Owned-worker respawns allowed before the fleet is declared
@@ -129,37 +117,18 @@ class ClusterExecutor:
         self._rejoining: Dict[int, threading.Timer] = {}
         self._final_snapshots: List[dict] = []
         self._ctx = mp.get_context("spawn")
-        self.ha = None
-        self.coordinator: Optional[Coordinator] = None
-        if self.config.standby:
-            from repro.cluster.ha import HAFleet
-
-            self.ha = HAFleet(
-                self.config,
-                telemetry=self.telemetry,
-                faults_json=faults.to_json() if faults is not None else None,
-                plan_store_dir=plan_store_dir,
-                live_wait_timeout=self.live_wait_timeout,
-                ctx=self._ctx,
-            )
-            self._ha_watcher = threading.Thread(
-                target=self._ha_watch_loop, name="repro-ha-watch", daemon=True
-            )
-        else:
-            self.coordinator = Coordinator(
-                self.config,
-                telemetry=self.telemetry,
-                faults=faults,
-                live_wait_timeout=self.live_wait_timeout,
-                plan_store_dir=plan_store_dir,
-                on_worker_lost=self._worker_lost,
-                on_worker_registered=self._worker_registered,
-            )
-            self.coordinator.start()
+        self.coordinator = Coordinator(
+            self.config,
+            telemetry=self.telemetry,
+            faults=faults,
+            live_wait_timeout=self.live_wait_timeout,
+            plan_store_dir=plan_store_dir,
+            on_worker_lost=self._worker_lost,
+            on_worker_registered=self._worker_registered,
+        )
+        self.coordinator.start()
         for index in range(self.num_workers):
             self.spawn_worker(tag=f"local-{index}")
-        if self.ha is not None:
-            self._ha_watcher.start()
         self._elastic = None
         if self.config.elastic is not None:
             from repro.cluster.elastic import ElasticController
@@ -171,43 +140,30 @@ class ClusterExecutor:
 
     # -- fleet management ------------------------------------------------
 
-    def _worker_addresses(self) -> List[tuple]:
-        if self.ha is not None:
-            return self.ha.worker_addresses()
-        return [self.coordinator.address]
-
     def spawn_worker(self, tag: str = "") -> int:
         """Start one owned loopback worker and wait for its registration."""
         from repro.cluster.worker import worker_main
 
-        addresses = self._worker_addresses()
-        host, port = addresses[0]
+        host, port = self.coordinator.address
         before = self.live_count()
         proc = self._ctx.Process(
             target=worker_main,
             args=(host, port),
-            kwargs={
-                "connect_timeout": self.config.connect_timeout,
-                "tag": tag,
-                "failover": tuple(addresses[1:]),
-            },
+            kwargs={"connect_timeout": self.config.connect_timeout, "tag": tag},
             daemon=True,
             name=f"repro-cluster-worker{'-' + tag if tag else ''}",
         )
         proc.start()
         with self._lock:
             self._owned[proc.pid] = proc
-        if not self._await_workers(before + 1, self.config.connect_timeout):
+        if not self.coordinator.await_workers(
+            before + 1, self.config.connect_timeout
+        ):
             raise WorkerError(
                 f"spawned cluster worker (pid {proc.pid}) did not register "
                 f"within {self.config.connect_timeout}s"
             )
         return proc.pid
-
-    def _await_workers(self, count: int, timeout: float) -> bool:
-        if self.ha is not None:
-            return self.ha.await_workers(count, timeout)
-        return self.coordinator.await_workers(count, timeout)
 
     def _worker_registered(self, worker_id: int, pid: Optional[int]) -> None:
         """Coordinator callback: a registration may be a grace rejoin."""
@@ -235,7 +191,6 @@ class ClusterExecutor:
             proc = self._owned.get(pid) if pid is not None else None
             rejoinable = (
                 proc is not None
-                and self.config.worker_rejoin
                 and proc.is_alive()
                 and pid not in self._rejoining
             )
@@ -297,25 +252,6 @@ class ClusterExecutor:
                 f"last owned worker lost: {reason}"
             )
 
-    def _ha_watch_loop(self) -> None:
-        """HA mode: respawn owned workers whose *process* died.
-
-        Connection-level losses need no help here — workers re-dial and
-        re-REGISTER on their own (across partitions and coordinator
-        takeovers alike); only actual process death costs a respawn.
-        """
-        while not self._closed:
-            time.sleep(0.25)
-            with self._lock:
-                if self._closed:
-                    return
-                dead = [
-                    pid for pid, proc in self._owned.items()
-                    if not proc.is_alive()
-                ]
-            for pid in dead:
-                self._handle_loss(pid, "worker process died")
-
     def _declare_exhausted(self, reason: str) -> None:
         with self._lock:
             if self._exhausted:
@@ -323,8 +259,7 @@ class ClusterExecutor:
             self._exhausted = True
         self.telemetry.incr("cluster.exhausted")
         self.telemetry.event("cluster.exhausted", reason=reason)
-        if self.coordinator is not None:
-            self.coordinator.fail_parked(reason)
+        self.coordinator.fail_parked(reason)
 
     @property
     def exhausted(self) -> bool:
@@ -332,13 +267,9 @@ class ClusterExecutor:
         return self._exhausted
 
     def live_count(self) -> int:
-        if self.ha is not None:
-            return self.ha.live_count()
         return self.coordinator.live_count()
 
     def backlog(self) -> float:
-        if self.ha is not None:
-            return self.ha.backlog()
         return self.coordinator.backlog()
 
     def scale_up(self, tag: str = "elastic") -> bool:
@@ -353,8 +284,6 @@ class ClusterExecutor:
 
     def scale_down(self) -> bool:
         """Retire the newest live worker gracefully (elastic controller)."""
-        if self.ha is not None:
-            return False  # config forbids elastic+standby; nothing to do
         live = self.coordinator.live_workers()
         if not live:
             return False
@@ -362,8 +291,6 @@ class ClusterExecutor:
 
     def worker_pids(self) -> List[int]:
         """Live workers' OS pids, for node-kill chaos campaigns."""
-        if self.ha is not None:
-            return self.ha.worker_pids()
         return [
             pid
             for pid in (
@@ -391,11 +318,6 @@ class ClusterExecutor:
         the executor contract.
         """
         self.solve_array(key, lease.array)
-
-    def _submit(self, key, payload, col0, col1):
-        if self.ha is not None:
-            return self.ha.submit(key, payload, col0, col1)
-        return self.coordinator.submit(key, payload, col0, col1)
 
     def solve_array(self, key, block: np.ndarray) -> None:
         """Solve *block* in place, column-sharded over the live fleet.
@@ -429,9 +351,8 @@ class ClusterExecutor:
                             "sharded.dispatch", key=key, cols=(col0, col1)
                         )
                     payload = np.ascontiguousarray(block[:, col0:col1])
-                    entries.append(
-                        (self._submit(key, payload, col0, col1), col0, col1)
-                    )
+                    future = self.coordinator.submit(key, payload, col0, col1)
+                    entries.append((future, col0, col1))
                 except BaseException as exc:  # noqa: BLE001 - drain first
                     failure = exc
                     break
@@ -464,20 +385,8 @@ class ClusterExecutor:
         the engine into its fleet view exactly like local workers'."""
         if self._closed:
             return self._final_snapshots
-        if self.ha is not None:
-            return self.ha.request_snapshots(timeout=self.config.drain_timeout)
         return self.coordinator.request_snapshots(
             timeout=self.config.drain_timeout
-        )
-
-    def host_snapshot(self) -> dict:
-        """HA mode: the active coordinator host's own telemetry (empty
-        for an in-process coordinator, whose counters land directly in
-        :attr:`telemetry`)."""
-        if self.ha is None:
-            return {}
-        return self.ha.host_snapshot(timeout=self.config.drain_timeout).get(
-            "host", {}
         )
 
     def shutdown(self) -> None:
@@ -495,14 +404,8 @@ class ClusterExecutor:
             timer.cancel()
         if self._elastic is not None:
             self._elastic.stop()
-        if self.ha is not None:
-            self._final_snapshots = self.ha.request_snapshots(
-                timeout=self.config.drain_timeout
-            )
-            self.ha.stop()
-        else:
-            self.coordinator.stop()
-            self._final_snapshots = self.coordinator.final_snapshots
+        self.coordinator.stop()
+        self._final_snapshots = self.coordinator.final_snapshots
         for proc in owned:
             proc.join(timeout=self.config.drain_timeout)
             if proc.is_alive():
@@ -521,7 +424,6 @@ class ClusterExecutor:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ClusterExecutor(live={self.live_count()}, "
-            f"ha={self.ha is not None}, "
             f"restarts={self._restarts_used}/{self.restart_budget}, "
             f"exhausted={self._exhausted}, closed={self._closed})"
         )

@@ -13,42 +13,18 @@ and solved coefficients cross the wire bitwise, never pickled:
 ========== ===============================================================
  REGISTER   worker → coordinator, first frame on a connection
  WELCOME    coordinator → worker: assigned id, lease clock, fault plan,
-            durable plan-store directory (warm-start ships to the node),
-            and the coordinator **epoch** — bumped on every standby
-            takeover so acks from a previous coordinator's era are
-            recognizably stale
+            durable plan-store directory (warm-start ships to the node)
  HEARTBEAT  worker → coordinator lease renewal
  SHARD      coordinator → worker: one column shard (task id, plan key,
-            raw RHS bytes, issuing epoch)
- SHARD_OK   worker → coordinator: the solved shard (task id, raw bytes,
-            echoed epoch)
- SHARD_ERR  worker → coordinator: structured shard failure (echoed epoch)
+            raw RHS bytes)
+ SHARD_OK   worker → coordinator: the solved shard (task id, raw bytes)
+ SHARD_ERR  worker → coordinator: structured shard failure
  SNAP_REQ   coordinator → worker: telemetry snapshot request
  SNAPSHOT   worker → coordinator: the snapshot (also the STOP farewell)
  STOP       coordinator → worker: drain and exit; carries a *reason*
             (``shutdown`` / ``retire`` / ``lost``) — a worker stopped as
             ``lost`` may re-dial and re-REGISTER instead of exiting
 ========== ===============================================================
-
-The high-availability control plane (executor ↔ a coordinator *host*
-process, :mod:`repro.cluster.ha`) extends the same framing:
-
-=========== ==============================================================
- frame       meaning
-=========== ==============================================================
- HELLO       executor → host: claim the control connection (``active``
-             tells a freshly spawned host whether to serve immediately)
- HELLO_OK    host → executor: the host's current epoch (−1 = standby)
- SUBMIT      executor → host: one shard keyed by an executor-chosen
-             **shard id** (raw RHS bytes; the executor retains the
-             payload so a takeover can re-submit it verbatim)
- RESULT      host → executor: the solved shard (shard id, raw bytes,
-             whether it was served from the journal's result spool)
- SHARD_FAIL  host → executor: structured shard failure by shard id
- ACTIVATE    executor → standby host: replay the journal and take over
- FLEET_REQ   executor → host: live-worker census request
- FLEET       host → executor: live worker ids, pids, pending shard count
-=========== ==============================================================
 
 The :class:`~repro.runtime.plan_cache.PlanKey` travels as JSON through
 :func:`key_to_dict` / :func:`key_from_dict` — the spec's frozen fields
@@ -94,18 +70,6 @@ __all__ = [
     "decode_snapshot",
     "encode_stop",
     "decode_stop",
-    "encode_hello",
-    "encode_hello_ok",
-    "encode_submit",
-    "decode_submit",
-    "encode_result",
-    "decode_result",
-    "encode_shard_fail",
-    "decode_shard_fail",
-    "encode_activate",
-    "encode_fleet_req",
-    "encode_fleet",
-    "decode_fleet",
     "decode_json",
 ]
 
@@ -122,15 +86,6 @@ class ClusterFrame(IntEnum):
     SNAP_REQ = 38
     SNAPSHOT = 39
     STOP = 40
-    # -- the HA control plane (executor <-> coordinator host process) --
-    HELLO = 41
-    HELLO_OK = 42
-    SUBMIT = 43
-    RESULT = 44
-    SHARD_FAIL = 45
-    ACTIVATE = 46
-    FLEET_REQ = 47
-    FLEET = 48
 
 
 # -- plan keys over the wire -------------------------------------------------
@@ -191,7 +146,6 @@ def encode_welcome(
     lease_timeout: float,
     fault_json=None,
     plan_store_dir=None,
-    epoch: int = 0,
 ) -> bytes:
     """The coordinator's reply: identity plus everything the node needs."""
     return _encode_json(
@@ -202,7 +156,6 @@ def encode_welcome(
             "lease_timeout": float(lease_timeout),
             "faults": fault_json,
             "plan_store_dir": plan_store_dir,
-            "epoch": int(epoch),
         },
     )
 
@@ -259,123 +212,6 @@ def decode_stop(payload: bytes) -> str:
     return reason if reason in STOP_REASONS else "shutdown"
 
 
-# -- HA control-plane frames (executor <-> coordinator host) -----------------
-
-
-def encode_hello(active: bool) -> bytes:
-    """The executor claims a host's control connection."""
-    return _encode_json(ClusterFrame.HELLO, {"active": bool(active)})
-
-
-def encode_hello_ok(epoch: int) -> bytes:
-    """The host's answer to HELLO/ACTIVATE; epoch −1 means standing by."""
-    return _encode_json(ClusterFrame.HELLO_OK, {"epoch": int(epoch)})
-
-
-def encode_activate() -> bytes:
-    """Tell a standby host to replay its journal and take over."""
-    return _encode_json(ClusterFrame.ACTIVATE, {})
-
-
-def encode_fleet_req() -> bytes:
-    return _encode_json(ClusterFrame.FLEET_REQ, {})
-
-
-def encode_fleet(workers: dict, pending: int) -> bytes:
-    """The live-worker census: ``{worker_id: pid}`` plus pending shards."""
-    return _encode_json(
-        ClusterFrame.FLEET,
-        {
-            "workers": {str(w): pid for w, pid in workers.items()},
-            "pending": int(pending),
-        },
-    )
-
-
-def decode_fleet(payload: bytes) -> Tuple[dict, int]:
-    data = decode_json(payload)
-    try:
-        workers = {
-            int(w): (None if pid is None else int(pid))
-            for w, pid in dict(data["workers"]).items()
-        }
-        return workers, int(data["pending"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad fleet frame: {exc}") from exc
-
-
-def encode_submit(
-    shard_id: int, key: PlanKey, shard: np.ndarray, col0: int, col1: int
-) -> bytes:
-    """One shard from the executor to the active coordinator host.
-
-    Keyed by the executor-chosen *shard id* (stable across takeovers —
-    the executor retains the payload and re-submits the same id to the
-    promoted standby, whose journal replay deduplicates it)."""
-    meta = {
-        "shard": int(shard_id),
-        "key": key_to_dict(key),
-        "col0": int(col0),
-        "col1": int(col1),
-        "array_shape": list(shard.shape),
-        "array_dtype": shard.dtype.str,
-    }
-    return encode_frame(ClusterFrame.SUBMIT, pack_meta_and_array(meta, shard))
-
-
-def decode_submit(payload: bytes) -> Tuple[int, PlanKey, np.ndarray, int, int]:
-    meta, shard = unpack_meta_and_array(payload)
-    try:
-        return (
-            int(meta["shard"]),
-            key_from_dict(meta["key"]),
-            shard,
-            int(meta["col0"]),
-            int(meta["col1"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad submit metadata: {exc}") from exc
-
-
-def encode_result(shard_id: int, solved: np.ndarray, spooled: bool) -> bytes:
-    """A solved shard back to the executor (``spooled`` marks a journal
-    result-spool hit — no kernel ran for it)."""
-    meta = {
-        "shard": int(shard_id),
-        "spooled": bool(spooled),
-        "array_shape": list(solved.shape),
-        "array_dtype": solved.dtype.str,
-    }
-    return encode_frame(ClusterFrame.RESULT, pack_meta_and_array(meta, solved))
-
-
-def decode_result(payload: bytes) -> Tuple[int, np.ndarray, bool]:
-    meta, solved = unpack_meta_and_array(payload)
-    try:
-        return int(meta["shard"]), solved, bool(meta.get("spooled", False))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad result metadata: {exc}") from exc
-
-
-def encode_shard_fail(shard_id: int, error: str, message: str) -> bytes:
-    return _encode_json(
-        ClusterFrame.SHARD_FAIL,
-        {"shard": int(shard_id), "error": str(error), "message": str(message)},
-    )
-
-
-def decode_shard_fail(payload: bytes) -> Tuple[int, str, str]:
-    data = decode_json(payload)
-    try:
-        return (
-            int(data["shard"]),
-            str(data.get("error", "")),
-            str(data.get("message", "")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad shard failure frame: {exc}") from exc
-
-
 # -- shard frames (raw array bytes) ------------------------------------------
 
 
@@ -385,28 +221,20 @@ def encode_shard(
     shard: np.ndarray,
     col0: int,
     col1: int,
-    epoch: int = 0,
 ) -> bytes:
-    """One column shard to a worker: id, plan key, raw C-order RHS bytes.
-
-    The issuing *epoch* travels with the shard and is echoed in the
-    acknowledgement, so an ack crossing a coordinator takeover is
-    recognizably stale even if its task id were ever reused."""
+    """One column shard to a worker: id, plan key, raw C-order RHS bytes."""
     meta = {
         "task": int(task_id),
         "key": key_to_dict(key),
         "col0": int(col0),
         "col1": int(col1),
-        "epoch": int(epoch),
         "array_shape": list(shard.shape),
         "array_dtype": shard.dtype.str,  # byte order included: bitwise
     }
     return encode_frame(ClusterFrame.SHARD, pack_meta_and_array(meta, shard))
 
 
-def decode_shard(
-    payload: bytes,
-) -> Tuple[int, PlanKey, np.ndarray, int, int, int]:
+def decode_shard(payload: bytes) -> Tuple[int, PlanKey, np.ndarray, int, int]:
     meta, shard = unpack_meta_and_array(payload)
     try:
         return (
@@ -415,51 +243,47 @@ def decode_shard(
             shard,
             int(meta["col0"]),
             int(meta["col1"]),
-            int(meta.get("epoch", 0)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"bad shard metadata: {exc}") from exc
 
 
-def encode_shard_ok(task_id: int, solved: np.ndarray, epoch: int = 0) -> bytes:
+def encode_shard_ok(task_id: int, solved: np.ndarray) -> bytes:
     """The solved shard riding the acknowledgement back, bitwise."""
     meta = {
         "task": int(task_id),
-        "epoch": int(epoch),
         "array_shape": list(solved.shape),
         "array_dtype": solved.dtype.str,
     }
     return encode_frame(ClusterFrame.SHARD_OK, pack_meta_and_array(meta, solved))
 
 
-def decode_shard_ok(payload: bytes) -> Tuple[int, np.ndarray, int]:
+def decode_shard_ok(payload: bytes) -> Tuple[int, np.ndarray]:
     meta, solved = unpack_meta_and_array(payload)
     try:
-        return int(meta["task"]), solved, int(meta.get("epoch", 0))
+        return int(meta["task"]), solved
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"bad shard ack metadata: {exc}") from exc
 
 
-def encode_shard_err(task_id: int, exc: BaseException, epoch: int = 0) -> bytes:
+def encode_shard_err(task_id: int, exc: BaseException) -> bytes:
     return _encode_json(
         ClusterFrame.SHARD_ERR,
         {
             "task": int(task_id),
-            "epoch": int(epoch),
             "error": type(exc).__name__,
             "message": str(exc),
         },
     )
 
 
-def decode_shard_err(payload: bytes) -> Tuple[int, str, str, int]:
+def decode_shard_err(payload: bytes) -> Tuple[int, str, str]:
     data = decode_json(payload)
     try:
         return (
             int(data["task"]),
             str(data.get("error", "")),
             str(data.get("message", "")),
-            int(data.get("epoch", 0)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"bad shard error frame: {exc}") from exc

@@ -4,12 +4,9 @@ A worker is a plain process (same host for the loopback tests and the
 quick scaling bench, any host in principle — the transport is one TCP
 connection).  Its life is an outer **dial loop** around sessions:
 
-1. dial the coordinator — trying each address in its failover list in
-   order (the primary first, then a standby host's worker port), so a
-   worker survives a coordinator takeover by simply reconnecting;
+1. dial the coordinator, retrying until it answers;
 2. send REGISTER and receive WELCOME: its assigned worker id, the lease
-   clock (heartbeat interval + lease timeout), the coordinator's
-   **epoch**, the serialized
+   clock (heartbeat interval + lease timeout), the serialized
    :class:`~repro.runtime.resilience.faults.FaultPlan`, and the durable
    plan-store directory — so chaos plans and warm-start behave on a
    remote node exactly as they do in a local worker process;
@@ -22,22 +19,21 @@ connection).  Its life is an outer **dial loop** around sessions:
    bytes — bitwise what the coordinator held), solved **in place**
    through the worker's own plan cache (factor once per key per node,
    warm-started from the plan store when configured), and the solved
-   bytes ride SHARD_OK back **echoing the shard's issuing epoch**, so
-   an ack that crosses a takeover is recognizably stale.  The
-   ``cluster.node_kill`` site fires before each solve (``crash`` takes
-   the whole node down mid-flight, ``slow`` delays the ack past a
-   lease, ``raise`` fails the shard); ``cluster.shard_slow`` fires
-   right after it — a straggler dial for the speculative-execution
-   path, without conflating it with node death.
+   bytes ride SHARD_OK back.  The ``cluster.node_kill`` site fires
+   before each solve (``crash`` takes the whole node down mid-flight,
+   ``slow`` delays the ack past a lease, ``raise`` fails the shard);
+   ``cluster.shard_slow`` fires right after it — a straggler dial for
+   the speculative-execution path, without conflating it with node
+   death.
 
 A session ends with a STOP frame or a broken connection.  STOP reason
 ``shutdown`` or ``retire`` is terminal; reason ``lost`` (the lease
 lapsed but this process is healthy — a healed partition) and a plain
-connection loss (the coordinator died; a standby may be taking over)
-send the worker back to the dial loop.  The
+connection loss send the worker back to the dial loop, which gives up
+once no coordinator answers within ``connect_timeout``.  The
 :class:`~repro.runtime.plan_cache.PlanCache` **survives re-dials**: a
-rejoined or failed-over worker re-registers under a fresh id with all
-its factorizations intact, so a takeover costs zero refactorizations.
+rejoined worker re-registers under a fresh id with all its
+factorizations intact, so a rejoin costs zero refactorizations.
 
 The worker never initiates anything except heartbeats: shard routing,
 re-issue, speculation, and elasticity are entirely the coordinator's
@@ -68,30 +64,26 @@ from repro.service.protocol import ProtocolError, read_frame, write_frame
 __all__ = ["worker_main", "main"]
 
 
-def _connect(addresses, timeout: float) -> socket.socket:
-    """Dial the first reachable coordinator address, retrying until
-    *timeout* (the primary may still be binding, or freshly dead with
-    its standby not yet activated)."""
+def _connect(host: str, port: int, timeout: float) -> socket.socket:
+    """Dial the coordinator, retrying until *timeout* (it may still be
+    binding)."""
     deadline = time.monotonic() + timeout
     delay = 0.02
     while True:
-        for host, port in addresses:
-            try:
-                sock = socket.create_connection(
-                    (host, port), timeout=max(0.1, deadline - time.monotonic())
-                )
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                # Blocking mode for the session: create_connection left
-                # its dial timeout on the socket, and an idle worker
-                # must not mistake a quiet data plane for a dead one.
-                sock.settimeout(None)
-                return sock
-            except OSError:
-                continue
-        if time.monotonic() >= deadline:
-            raise OSError(
-                f"no coordinator reachable at any of {list(addresses)}"
+        try:
+            sock = socket.create_connection(
+                (host, port), timeout=max(0.1, deadline - time.monotonic())
             )
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            # Blocking mode for the session: create_connection left its
+            # dial timeout on the socket, and an idle worker must not
+            # mistake a quiet data plane for a dead one.
+            sock.settimeout(None)
+            return sock
+        except OSError:
+            pass
+        if time.monotonic() >= deadline:
+            raise OSError(f"no coordinator reachable at {host}:{port}")
         time.sleep(delay)
         delay = min(delay * 2, 0.25)
 
@@ -129,30 +121,22 @@ def _heartbeat_loop(
 
 
 def worker_main(
-    host: str,
-    port: int,
-    connect_timeout: float = 10.0,
-    tag: str = "",
-    failover=(),
+    host: str, port: int, connect_timeout: float = 10.0, tag: str = ""
 ) -> None:
     """Run one worker node until a terminal STOP (or no coordinator is
-    reachable).  *failover* lists extra ``(host, port)`` coordinator
-    addresses — a standby host's worker port — tried in order after the
-    primary on every dial."""
-    addresses = [(host, int(port))] + [(h, int(p)) for h, p in failover]
+    reachable)."""
     telemetry = Telemetry()
     state = {"cache": None}  # the PlanCache, shared across sessions
-    sessions = 0
     while True:
         try:
-            sock = _connect(addresses, connect_timeout)
+            sock = _connect(host, int(port), connect_timeout)
         except OSError:
             return  # nobody to serve: the fleet is gone
         reason = "lost"
         try:
             reason = _session(sock, tag, telemetry, state)
         except (ConnectionError, OSError, EOFError, ProtocolError):
-            reason = "lost"  # coordinator died mid-session: re-dial
+            reason = "lost"  # connection broke mid-session: re-dial
         finally:
             try:
                 sock.close()
@@ -160,7 +144,6 @@ def worker_main(
                 pass
         if reason != "lost":
             return
-        sessions += 1
         telemetry.incr("worker.rejoins")
 
 
@@ -243,7 +226,7 @@ def _serve(
                         sock, encode_snapshot(-1, telemetry.snapshot())
                     )
             except OSError:
-                pass  # a dying coordinator may not read the farewell
+                pass  # a closing coordinator may not read the farewell
             return reason
         if ftype == ClusterFrame.SNAP_REQ:
             req = int(decode_json(payload)["req"])
@@ -252,7 +235,7 @@ def _serve(
             continue
         if ftype != ClusterFrame.SHARD:
             raise ProtocolError(f"unexpected frame type {ftype} on a worker")
-        task_id, key, shard, col0, col1, epoch = decode_shard(payload)
+        task_id, key, shard, col0, col1 = decode_shard(payload)
         try:
             if faults is not None:
                 faults.fire(
@@ -274,13 +257,13 @@ def _serve(
             with telemetry.span("worker.shard_solve"):
                 builder.solve(shard, in_place=True)
             with send_lock:
-                write_frame(sock, encode_shard_ok(task_id, shard, epoch=epoch))
+                write_frame(sock, encode_shard_ok(task_id, shard))
         except (ConnectionError, OSError):
             raise
         except BaseException as exc:  # noqa: BLE001 - ship to coordinator
             telemetry.incr("worker.shard_failures")
             with send_lock:
-                write_frame(sock, encode_shard_err(task_id, exc, epoch=epoch))
+                write_frame(sock, encode_shard_err(task_id, exc))
 
 
 def main(argv=None) -> None:
@@ -295,19 +278,10 @@ def main(argv=None) -> None:
         "--connect-timeout", type=float, default=10.0,
         help="seconds to keep dialing the coordinator",
     )
-    parser.add_argument(
-        "--failover", action="append", default=[], metavar="HOST:PORT",
-        help="extra coordinator address tried after the primary "
-        "(a standby host's worker port); repeatable",
-    )
     args = parser.parse_args(argv)
-    failover = []
-    for item in args.failover:
-        fhost, _, fport = item.rpartition(":")
-        failover.append((fhost, int(fport)))
     worker_main(
         args.host, args.port, connect_timeout=args.connect_timeout,
-        tag=args.tag, failover=failover,
+        tag=args.tag,
     )
 
 

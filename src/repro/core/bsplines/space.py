@@ -133,12 +133,26 @@ class PeriodicBSplines:
         With the default Greville *points* this is exactly the matrix ``A``
         of Eq. (2) whose degree-3 uniform instance is shown in Fig. 1: a
         cyclic band with corner entries from the periodic wrap.
+
+        On a uniform space with the default points every row is the first
+        row shifted, so the ``d+1`` basis values are evaluated once, at the
+        first point, and written into every row at the same offsets.  The
+        result is an exact circulant: evaluating each row at its own
+        rounded global knot would make the rows differ by the rounding of
+        the local coordinate (up to 1e-13 at n=1000), an asymmetry the
+        symmetric solvers, which read only one triangle, cannot honour.
         """
         pts = self.greville if points is None else np.asarray(points, dtype=np.float64)
         if pts.ndim != 1:
             raise ShapeError(f"points must be 1-D, got shape {pts.shape}")
         n = self.nbasis
         a = np.zeros((pts.size, n))
+        if points is None and self.is_uniform:
+            first, values = self.eval_nonzero_basis(pts[0])
+            rows = np.arange(n)
+            for idx, value in zip(first, values):
+                a[rows, (idx + rows) % n] = value
+            return a
         indices, values = self.eval_nonzero_basis(pts)
         rows = np.broadcast_to(np.arange(pts.size)[None, :], indices.shape)
         np.add.at(a, (rows.ravel(), indices.ravel()), values.ravel())

@@ -35,14 +35,7 @@ property the paper cites as the reason for choosing Kokkos-kernels over
 Ginkgo.
 """
 
-from repro.kbatched.types import (
-    Algo,
-    Diag,
-    Side,
-    Trans,
-    Uplo,
-    warn_blocked_fallback,
-)
+from repro.kbatched.types import Algo, Diag, Side, Trans, Uplo
 from repro.kbatched.band import (
     band_to_dense,
     dense_band_widths,
@@ -74,7 +67,6 @@ __all__ = [
     "Algo",
     "Side",
     "Diag",
-    "warn_blocked_fallback",
     "dense_to_band",
     "dense_to_lu_band",
     "band_to_dense",

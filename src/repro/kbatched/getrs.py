@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.backend import Array, get_namespace
 from repro.exceptions import ShapeError
-from repro.kbatched.types import Algo, Trans, warn_blocked_fallback
+from repro.kbatched.types import Trans
 
 
 def _check(a: Array, ipiv: np.ndarray, b: Array, trans: Trans) -> int:
@@ -36,7 +36,6 @@ def serial_getrs(
     ipiv: np.ndarray,
     b: Array,
     trans: Trans = Trans.NO_TRANSPOSE,
-    algo: Algo = Algo.UNBLOCKED,
 ) -> int:
     """Solve for a single right-hand side, in place. Returns 0 on success.
 
@@ -44,9 +43,6 @@ def serial_getrs(
     ``Uᵀ y = b``, ``Lᵀ z = y``, then the row interchanges applied in
     reverse order.
     """
-    if algo is Algo.BLOCKED:
-        warn_blocked_fallback("getrs")
-    del algo
     n = _check(a, ipiv, b, trans)
     if trans is Trans.TRANSPOSE:
         # U^T y = b (lower, non-unit).

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.backend import Array
 from repro.exceptions import ShapeError
-from repro.kbatched.types import Algo, Uplo, warn_blocked_fallback
+from repro.kbatched.types import Uplo
 
 
 def _check(ab: Array, b: Array) -> int:
@@ -47,12 +47,8 @@ def serial_pbtrs(
     ab: Array,
     b: Array,
     uplo: Uplo = Uplo.LOWER,
-    algo: Algo = Algo.UNBLOCKED,
 ) -> int:
     """Solve for a single right-hand side, in place. Returns 0 on success."""
-    if algo is Algo.BLOCKED:
-        warn_blocked_fallback("pbtrs")
-    del algo
     kd = _check(ab, b)
     n = ab.shape[1]
     if uplo is Uplo.UPPER:

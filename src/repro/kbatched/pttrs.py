@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.backend import Array
 from repro.exceptions import ShapeError
-from repro.kbatched.types import Algo, Uplo, warn_blocked_fallback
+from repro.kbatched.types import Uplo
 
 
 def serial_pttrs(
@@ -23,7 +23,6 @@ def serial_pttrs(
     e: Array,
     b: Array,
     uplo: Uplo = Uplo.LOWER,
-    algo: Algo = Algo.UNBLOCKED,
 ) -> int:
     """Solve for a single right-hand side, in place.
 
@@ -42,9 +41,7 @@ def serial_pttrs(
     int
         0 on success (KokkosBatched convention).
     """
-    if algo is Algo.BLOCKED:
-        warn_blocked_fallback("pttrs")
-    del uplo, algo  # single arithmetic path, kept for API fidelity
+    del uplo  # single arithmetic path, kept for API fidelity
     n = d.shape[0]
     if b.shape[0] != n:
         raise ShapeError(f"b has length {b.shape[0]}, expected {n}")

@@ -8,8 +8,6 @@ keyword arguments, keeping ported call sites recognizable.
 from __future__ import annotations
 
 import enum
-import threading
-import warnings
 
 
 class Uplo(enum.Enum):
@@ -44,41 +42,11 @@ class Algo(enum.Enum):
     """Algorithm variant (``ArgAlgo``).
 
     The paper only exercises the ``Unblocked`` variants (cache blocking is
-    mentioned as a possible future optimization for ``gbtrs``); ``Blocked``
-    is accepted and currently dispatches to the same unblocked kernels.
+    mentioned as a possible future optimization for ``gbtrs``).  Only
+    :func:`~repro.kbatched.getrf` has a ``Blocked`` variant: a right-looking
+    blocked LU.
     """
 
     UNBLOCKED = "Unblocked"
     BLOCKED = "Blocked"
 
-
-_BLOCKED_FALLBACK_WARNED: set = set()
-_BLOCKED_FALLBACK_LOCK = threading.Lock()
-
-
-def warn_blocked_fallback(kernel: str) -> None:
-    """Emit a one-time :class:`PendingDeprecationWarning` when *kernel*
-    receives ``Algo.BLOCKED`` but dispatches to its unblocked variant.
-
-    The aliasing used to be silent, which let perf-model users attribute
-    Table III "Blocked" timings to code that never ran.  The warning fires
-    once per kernel name per process; tests reset the memo via
-    :func:`_reset_blocked_fallback_warnings`.
-    """
-    with _BLOCKED_FALLBACK_LOCK:
-        if kernel in _BLOCKED_FALLBACK_WARNED:
-            return
-        _BLOCKED_FALLBACK_WARNED.add(kernel)
-    warnings.warn(
-        f"Algo.BLOCKED is not implemented for {kernel}; falling back to the "
-        f"unblocked kernel (identical numerics, unblocked performance "
-        f"characteristics — read Table III attributions as UNBLOCKED)",
-        PendingDeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_blocked_fallback_warnings() -> None:
-    """Clear the one-time warning memo (test helper)."""
-    with _BLOCKED_FALLBACK_LOCK:
-        _BLOCKED_FALLBACK_WARNED.clear()

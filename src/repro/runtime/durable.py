@@ -326,8 +326,8 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
     A reader concurrent with the write sees either the old file or the
     new one, never a mixture; a kill mid-write leaves only a temp file
     that the next :meth:`PlanStore.save` sweep removes.  Shared by the
-    plan store, campaign checkpoints, and the cluster shard journal's
-    result spool — one durability discipline for every on-disk artifact.
+    plan store and campaign checkpoints — one durability discipline for
+    every on-disk artifact.
     """
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(

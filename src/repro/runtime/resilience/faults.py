@@ -43,10 +43,6 @@ seeded list of :class:`FaultSpec` triggers bound to named hook points
                         before the shard solve — a straggler dial for
                         the speculative-execution path (``slow`` holds
                         one copy while a speculative duplicate wins)
- cluster.coordinator_kill  HA coordinator host, before each SUBMIT is
-                        accepted (``crash`` SIGKILL-equivalently downs
-                        the primary mid-campaign; gate by
-                        ``worker=ROLE_INDEX`` — primary 0, standby 1)
 ====================== ==================================================
 
 Fault kinds: ``raise`` (a chosen exception flavor), ``crash``
@@ -104,9 +100,6 @@ HOOK_SITES = {
     "node, slow delays the ack past a lease, raise fails the shard)",
     "cluster.shard_slow": "cluster worker straggler dial (slow holds one "
     "shard copy so a speculative duplicate can win the race)",
-    "cluster.coordinator_kill": "HA coordinator host on shard submit "
-    "(crash downs the primary mid-campaign; worker= selects the role: "
-    "primary 0, standby 1)",
 }
 
 _KINDS = ("raise", "crash", "hang", "slow", "corrupt")

@@ -176,62 +176,3 @@ class TestEngineBackendNs:
             ref = engine.solve(spec, xp.asarray(rhs))
             np.testing.assert_allclose(asnumpy(out), asnumpy(ref))
 
-
-class TestBlockedFallbackWarning:
-    def test_warns_exactly_once_per_kernel(self):
-        import warnings
-
-        from repro.kbatched.types import (
-            _reset_blocked_fallback_warnings,
-            warn_blocked_fallback,
-        )
-
-        _reset_blocked_fallback_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            warn_blocked_fallback("pttrs")
-            warn_blocked_fallback("pttrs")
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, PendingDeprecationWarning)
-        assert "pttrs" in str(caught[0].message)
-        _reset_blocked_fallback_warnings()
-
-    def test_serial_pttrs_blocked_warns_once(self, rng):
-        import warnings
-
-        from repro.kbatched import Algo, serial_pttrf, serial_pttrs
-        from repro.kbatched.types import _reset_blocked_fallback_warnings
-        from repro.testing import random_spd_tridiagonal
-
-        d, e = random_spd_tridiagonal(8, rng)
-        serial_pttrf(d, e)
-        b = rng.standard_normal(8)
-        _reset_blocked_fallback_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            serial_pttrs(d, e, b.copy(), algo=Algo.BLOCKED)
-            serial_pttrs(d, e, b.copy(), algo=Algo.BLOCKED)
-        blocked = [
-            w for w in caught
-            if issubclass(w.category, PendingDeprecationWarning)
-        ]
-        assert len(blocked) == 1
-        _reset_blocked_fallback_warnings()
-
-    def test_unblocked_never_warns(self, rng):
-        import warnings
-
-        from repro.kbatched import serial_pttrf, serial_pttrs
-        from repro.kbatched.types import _reset_blocked_fallback_warnings
-        from repro.testing import random_spd_tridiagonal
-
-        d, e = random_spd_tridiagonal(8, rng)
-        serial_pttrf(d, e)
-        _reset_blocked_fallback_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            serial_pttrs(d, e, rng.standard_normal(8))
-        assert not [
-            w for w in caught
-            if issubclass(w.category, PendingDeprecationWarning)
-        ]

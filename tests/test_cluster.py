@@ -78,26 +78,24 @@ class TestWire:
         ftype, _, length = decode_header(frame[:HEADER_SIZE])
         assert ftype == ClusterFrame.SHARD
         assert length == len(frame) - HEADER_SIZE
-        task, key, back, col0, col1, epoch = decode_shard(frame[HEADER_SIZE:])
+        task, key, back, col0, col1 = decode_shard(frame[HEADER_SIZE:])
         assert task == 7 and (col0, col1) == (3, 8)
         assert key == KEY
-        assert epoch == 0  # default epoch for a non-HA coordinator
         np.testing.assert_array_equal(back, arr)
         assert back.dtype == arr.dtype
 
     def test_shard_ok_roundtrip_preserves_dtype(self, rng):
         arr = rng.standard_normal((6, 4)).astype(np.float32)
-        payload = encode_shard_ok(9, arr, epoch=4)[HEADER_SIZE:]
-        task, back, epoch = decode_shard_ok(payload)
-        assert task == 9 and epoch == 4
+        payload = encode_shard_ok(9, arr)[HEADER_SIZE:]
+        task, back = decode_shard_ok(payload)
+        assert task == 9
         np.testing.assert_array_equal(back, arr)
         assert back.dtype == np.float32
 
     def test_shard_err_ships_type_and_message(self):
         payload = encode_shard_err(5, ValueError("boom"))[HEADER_SIZE:]
-        task, error, message, epoch = decode_shard_err(payload)
+        task, error, message = decode_shard_err(payload)
         assert task == 5 and error == "ValueError" and message == "boom"
-        assert epoch == 0
 
     def test_heartbeat_and_snapshot_roundtrip(self):
         worker, seq = decode_heartbeat(encode_heartbeat(3, 41)[HEADER_SIZE:])

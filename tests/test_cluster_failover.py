@@ -1,61 +1,37 @@
-"""Coordinator crash recovery: journal, takeover, speculation, rejoin.
+"""Cluster recovery beyond respawn: speculation and rejoin, then a soak.
 
-Four recovery layers, each tested on its own and then together:
+Two recovery layers ride on the in-process coordinator's bookkeeping,
+each tested on its own and then together:
 
-* the **shard journal** — a write-ahead log plus checksummed result
-  spool; torn tails truncate-and-quarantine, corrupt spool entries
-  evict-and-re-solve, so a replay never produces a wrong answer;
-* **standby takeover** — SIGKILL the active coordinator host
-  mid-campaign and the warm standby replays the journal, workers
-  re-dial, and the engine-facing futures never notice;
 * **speculative execution** — a shard stuck on a straggler is
   duplicated onto an idle worker; first ack wins, the loser is dropped
-  as stale, p99 shrinks;
+  as stale;
 * **worker rejoin** — a healed partition re-registers under a fresh
   worker id within a grace window instead of burning restart budget.
 
-The combined soak at the end layers all of them over one seeded chaos
-campaign and asserts bitwise identity against the single-host
-reference — the paper's reproducibility bar, held through crash
+The combined soak at the end layers them over a node kill in one
+seeded chaos campaign and asserts bitwise identity against the
+single-host reference — the paper's reproducibility bar, held through
 recovery.
 """
 
 from __future__ import annotations
 
-import os
-import signal
-import socket
-import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    ClusterConfig,
-    ClusterExecutor,
-    Coordinator,
-    JournalError,
-    ShardJournal,
-    replay_journal,
-)
-from repro.cluster.wire import (
-    ClusterFrame,
-    decode_json,
-    decode_shard,
-    encode_register,
-    encode_shard_ok,
-)
+from repro.cluster import ClusterConfig, ClusterExecutor
 from repro.core.spec import BSplineSpec
 from repro.runtime.plan_cache import PlanCache, PlanKey
 from repro.runtime.resilience.faults import FaultPlan, FaultSpec
 from repro.runtime.telemetry import Telemetry
-from repro.service.protocol import read_frame, write_frame
 
 SPEC = BSplineSpec(degree=3, n_points=48)
 KEY = PlanKey.from_spec(SPEC)
 
-#: a fast lease clock so partition/failover tests finish in seconds
+#: a fast lease clock so partition tests finish in seconds
 FAST = dict(heartbeat_interval=0.1, lease_timeout=0.5)
 
 
@@ -80,191 +56,16 @@ def _wait_counter(telemetry, name, minimum=1, timeout=10.0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the shard journal
-# ---------------------------------------------------------------------------
-
-
-class TestShardJournal:
-    def test_replay_folds_issue_ack_requeue_fail(self, tmp_path):
-        journal = ShardJournal(str(tmp_path))
-        journal.append("epoch", epoch=3)
-        journal.append("issue", task=0, shard=0)
-        journal.append("issue", task=1, shard=1)
-        journal.append("speculate", task=2, shard=1)
-        solved = np.arange(12.0).reshape(3, 4)
-        name = journal.spool_result(0, solved)
-        journal.append("ack", shard=0, result=name)
-        journal.append("requeue", task=3, shard=1)
-        journal.append("fail", shard=1, error="ValueError", message="boom")
-        journal.close()
-
-        replay = replay_journal(str(tmp_path))
-        assert replay.epoch == 3
-        # the floor covers every task id a worker ever saw — including
-        # speculative and requeued copies
-        assert replay.next_task == 4
-        assert replay.acked == {0: name}
-        assert replay.failed == {1: ("ValueError", "boom")}
-        assert replay.unacked == set()
-        assert replay.quarantined is False
-
-    def test_spool_roundtrip_is_bitwise(self, tmp_path, rng):
-        journal = ShardJournal(str(tmp_path))
-        solved = rng.standard_normal((48, 7))
-        name = journal.spool_result(11, solved)
-        back = journal.load_result(name)
-        assert back.tobytes() == solved.tobytes()
-        assert back.dtype == solved.dtype
-
-    def test_torn_tail_truncated_and_quarantined(self, tmp_path):
-        telemetry = Telemetry()
-        journal = ShardJournal(str(tmp_path))
-        journal.append("epoch", epoch=2)
-        journal.append("issue", task=0, shard=0)
-        journal.close()
-        wal = tmp_path / "shards.wal"
-        good_size = wal.stat().st_size
-        with open(wal, "ab") as f:
-            f.write(b"\x00\x00\x02\x00this is a torn half-record")
-
-        replay = replay_journal(str(tmp_path), telemetry=telemetry)
-        # the good prefix survives verbatim, the tail is quarantined
-        assert replay.epoch == 2 and replay.next_task == 1
-        assert replay.quarantined is True
-        assert wal.stat().st_size == good_size
-        sidecars = [p for p in os.listdir(tmp_path) if "quarantine" in p]
-        assert sidecars, "torn tail must be preserved in a sidecar"
-        assert telemetry.counter("journal.tail_quarantined") >= 1
-        # and the journal is appendable again after the truncation
-        journal = ShardJournal(str(tmp_path))
-        journal.append("issue", task=1, shard=1)
-        journal.close()
-        assert replay_journal(str(tmp_path)).next_task == 2
-
-    def test_corrupt_record_digest_truncates(self, tmp_path):
-        journal = ShardJournal(str(tmp_path))
-        journal.append("epoch", epoch=1)
-        journal.append("issue", task=0, shard=0)
-        journal.close()
-        wal = tmp_path / "shards.wal"
-        blob = bytearray(wal.read_bytes())
-        blob[-1] ^= 0xFF  # flip one bit in the last record's digest
-        wal.write_bytes(bytes(blob))
-        replay = replay_journal(str(tmp_path))
-        assert replay.quarantined is True
-        assert replay.epoch == 1  # the earlier record survives
-        assert replay.next_task == 0  # the corrupt issue is dropped
-
-    def test_foreign_header_quarantines_whole_file(self, tmp_path):
-        wal = tmp_path / "shards.wal"
-        wal.write_bytes(b"NOTAJOURNAL" + b"\x00" * 64)
-        replay = replay_journal(str(tmp_path))
-        assert replay.quarantined is True
-        assert replay.records == [] and replay.epoch == -1
-        # the foreign bytes are preserved, the WAL is reusable
-        assert [p for p in os.listdir(tmp_path) if "quarantine" in p]
-        journal = ShardJournal(str(tmp_path))
-        journal.append("epoch", epoch=0)
-        journal.close()
-        assert replay_journal(str(tmp_path)).epoch == 0
-
-    def test_corrupt_spool_entry_raises_not_wrong_answer(self, tmp_path, rng):
-        journal = ShardJournal(str(tmp_path))
-        solved = rng.standard_normal((16, 3))
-        name = journal.spool_result(0, solved)
-        path = tmp_path / name
-        blob = bytearray(path.read_bytes())
-        blob[-5] ^= 0x40  # corrupt the payload under the checksum
-        path.write_bytes(bytes(blob))
-        with pytest.raises(JournalError):
-            journal.load_result(name)
-        journal.evict_result(name)
-        assert not path.exists()
-
-    def test_missing_journal_is_empty_replay(self, tmp_path):
-        replay = replay_journal(str(tmp_path / "never-written"))
-        assert replay.records == []
-        assert replay.epoch == -1 and replay.next_task == 0
-
-
-# ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
 
 
 class TestFailoverConfig:
-    def test_standby_requires_journal_dir(self):
-        with pytest.raises(ValueError, match="journal_dir"):
-            ClusterConfig(standby=True)
-
-    def test_standby_forbids_elastic(self, tmp_path):
-        from repro.cluster import ElasticPolicy
-
-        with pytest.raises(ValueError, match="elastic"):
-            ClusterConfig(
-                standby=True,
-                journal_dir=str(tmp_path),
-                elastic=ElasticPolicy(min_workers=1, max_workers=4),
-            )
-
     def test_speculation_knobs_validated(self):
         with pytest.raises(ValueError, match="speculative_age"):
             ClusterConfig(speculative_age=0.0)
-        with pytest.raises(ValueError, match="speculative_factor"):
-            ClusterConfig(speculative_factor=0.5)
-        with pytest.raises(ValueError, match="speculative_min_samples"):
-            ClusterConfig(speculative_min_samples=0)
         with pytest.raises(ValueError, match="rejoin_grace"):
             ClusterConfig(rejoin_grace=0.0)
-
-
-# ---------------------------------------------------------------------------
-# epoch fencing
-# ---------------------------------------------------------------------------
-
-
-class TestEpochFencing:
-    def test_stale_epoch_ack_dropped_before_pending_pop(self, rng):
-        """A scripted worker answers with an old epoch: the ack must be
-        dropped *without* consuming the pending entry, so the genuine
-        answer (current epoch) still resolves the future."""
-        telemetry = Telemetry()
-        config = ClusterConfig(**FAST)
-        coordinator = Coordinator(config, telemetry=telemetry, epoch=5)
-        coordinator.start()
-        sock = None
-        try:
-            sock = socket.create_connection(coordinator.address, timeout=5.0)
-            sock.settimeout(5.0)
-            write_frame(sock, encode_register(os.getpid(), "scripted"))
-            ftype, _, payload = read_frame(sock)
-            assert ftype == ClusterFrame.WELCOME
-            assert int(decode_json(payload)["epoch"]) == 5
-
-            shard = rng.standard_normal((48, 4))
-            future = coordinator.submit(KEY, shard, 0, 4)
-            ftype, _, payload = read_frame(sock)
-            assert ftype == ClusterFrame.SHARD
-            task_id, _, back, _, _, epoch = decode_shard(payload)
-            assert epoch == 5
-
-            # a previous-era ack: same task id, wrong epoch
-            write_frame(sock, encode_shard_ok(task_id, back, epoch=4))
-            assert (
-                _wait_counter(
-                    telemetry, "cluster.stale_epoch_acks_dropped", timeout=5.0
-                )
-                == 1
-            )
-            assert not future.done(), "stale ack must not resolve the shard"
-
-            solved = _reference(shard)
-            write_frame(sock, encode_shard_ok(task_id, solved, epoch=5))
-            assert future.result(timeout=5.0).tobytes() == solved.tobytes()
-        finally:
-            if sock is not None:
-                sock.close()
-            coordinator.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +92,6 @@ class TestSpeculation:
         config = ClusterConfig(
             heartbeat_interval=0.1,
             lease_timeout=5.0,  # the lease must NOT fire; speculation must
-            speculate=True,
             speculative_age=0.3,
         )
         executor = ClusterExecutor(
@@ -315,7 +115,7 @@ class TestSpeculation:
 
     def test_speculation_off_by_default(self, rng):
         config = ClusterConfig(**FAST)
-        assert config.speculate is False
+        assert config.speculative_age is None
         telemetry = Telemetry()
         executor = ClusterExecutor(
             config=config, num_workers=2, telemetry=telemetry
@@ -382,137 +182,25 @@ class TestWorkerRejoin:
 
 
 # ---------------------------------------------------------------------------
-# standby takeover
-# ---------------------------------------------------------------------------
-
-
-class TestStandbyTakeover:
-    def test_sigkill_primary_mid_campaign_bitwise(self, rng, tmp_path):
-        blocks = [rng.standard_normal((48, 12)) for _ in range(5)]
-        expects = [_reference(b) for b in blocks]
-        telemetry = Telemetry()
-        config = ClusterConfig(
-            **FAST, standby=True, journal_dir=str(tmp_path)
-        )
-        executor = ClusterExecutor(
-            config=config, num_workers=2, telemetry=telemetry
-        )
-        try:
-            got0 = blocks[0].copy()
-            executor.solve_array(KEY, got0)
-            assert got0.tobytes() == expects[0].tobytes()
-            assert executor.ha.epoch == 0
-
-            os.kill(executor.ha.primary_pid, signal.SIGKILL)
-            for block, expect in zip(blocks[1:], expects[1:]):
-                got = block.copy()
-                executor.solve_array(KEY, got)
-                assert got.tobytes() == expect.tobytes()
-
-            assert executor.ha.takeovers == 1
-            assert executor.ha.epoch == 1
-            counters = telemetry.snapshot()["counters"]
-            assert counters["ha.shards_submitted"] == counters[
-                "ha.shards_resolved"
-            ]
-            # the standby slot is refilled for the *next* takeover
-            assert _wait_counter(telemetry, "ha.standby_respawns") >= 1
-        finally:
-            executor.shutdown()
-
-    def test_takeover_costs_zero_refactorizations(self, rng, tmp_path):
-        """Workers survive the takeover with their plan caches warm: the
-        whole campaign factorizes exactly once per worker, kill or not."""
-        telemetry = Telemetry()
-        config = ClusterConfig(
-            **FAST, standby=True, journal_dir=str(tmp_path / "journal")
-        )
-        executor = ClusterExecutor(
-            config=config,
-            num_workers=2,
-            telemetry=telemetry,
-            plan_store_dir=str(tmp_path / "plans"),
-        )
-        try:
-            block = rng.standard_normal((48, 8))
-            expect = _reference(block)
-            got = block.copy()
-            executor.solve_array(KEY, got)
-            assert got.tobytes() == expect.tobytes()
-
-            os.kill(executor.ha.primary_pid, signal.SIGKILL)
-            got2 = block.copy()
-            executor.solve_array(KEY, got2)
-            assert got2.tobytes() == expect.tobytes()
-            assert executor.ha.takeovers == 1
-
-            snapshots = executor.worker_snapshots()
-            factorized = sum(
-                s.get("counters", {}).get("plan_cache.factorized", 0)
-                for s in snapshots
-            )
-            assert factorized <= 2, (
-                f"takeover must not refactorize: {factorized} factorizations "
-                f"for 2 workers"
-            )
-        finally:
-            executor.shutdown()
-
-    def test_replayed_ack_served_from_spool_not_resolved(self, rng, tmp_path):
-        """A shard the journal already acknowledges is answered from the
-        result spool — the coordinator never re-executes it."""
-        sentinel = np.full((48, 8), 7.25)
-        journal = ShardJournal(str(tmp_path))
-        journal.append("epoch", epoch=7)
-        name = journal.spool_result(0, sentinel)
-        journal.append("ack", shard=0, result=name)
-        journal.close()
-
-        telemetry = Telemetry()
-        config = ClusterConfig(
-            **FAST, standby=True, journal_dir=str(tmp_path)
-        )
-        executor = ClusterExecutor(
-            config=config, num_workers=1, telemetry=telemetry
-        )
-        try:
-            assert executor.ha.epoch == 8  # replayed 7, bumped on activate
-            block = rng.standard_normal((48, 8))
-            got = block.copy()
-            executor.solve_array(KEY, got)  # submits shard id 0
-            # the answer is the spooled sentinel, not a fresh solve
-            assert got.tobytes() == sentinel.tobytes()
-            counters = telemetry.snapshot()["counters"]
-            assert counters.get("ha.spool_hits", 0) == 1
-        finally:
-            executor.shutdown()
-
-
-# ---------------------------------------------------------------------------
 # the combined-failure soak
 # ---------------------------------------------------------------------------
 
 
 class TestCombinedFailureSoak:
-    def test_chaos_campaign_bitwise_vs_reference(self, rng, tmp_path):
-        """Primary SIGKILL + node kill + partition + stragglers, one
-        seeded campaign: submitted == completed, no double-applies, and
-        the result is bitwise the single-host reference."""
+    def test_chaos_campaign_bitwise_vs_reference(self, rng):
+        """Node kill + partition + stragglers, one seeded campaign:
+        submitted == completed, no double-applies, and the result is
+        bitwise the single-host reference."""
         blocks = [rng.standard_normal((48, 9)) for _ in range(8)]
         expects = [_reference(b) for b in blocks]
         faults = FaultPlan(
             specs=[
-                # the primary host dies on its 5th accepted submit
-                FaultSpec(
-                    site="cluster.coordinator_kill", kind="crash",
-                    worker=0, after=4, times=1,
-                ),
                 # one worker crashes outright mid-shard
                 FaultSpec(
                     site="cluster.node_kill", kind="crash",
                     worker=1, after=1, times=1,
                 ),
-                # another worker partitions once and heals
+                # the last to register partitions once and heals
                 FaultSpec(
                     site="cluster.partition", kind="hang", delay=1.2,
                     worker=2, times=1,
@@ -526,13 +214,7 @@ class TestCombinedFailureSoak:
             seed=42,
         )
         telemetry = Telemetry()
-        config = ClusterConfig(
-            **FAST,
-            standby=True,
-            journal_dir=str(tmp_path),
-            speculate=True,
-            speculative_age=0.3,
-        )
+        config = ClusterConfig(**FAST, speculative_age=0.3)
         executor = ClusterExecutor(
             config=config,
             num_workers=3,
@@ -549,14 +231,13 @@ class TestCombinedFailureSoak:
                 )
             counters = telemetry.snapshot()["counters"]
             # exactly-once, telemetry-asserted: every submitted shard
-            # resolved exactly once, duplicates (if any raced across the
-            # takeover) were dropped, none failed through to the engine
-            assert counters["ha.shards_submitted"] == counters[
-                "ha.shards_resolved"
+            # resolved exactly once, duplicates (speculative copies and
+            # late acks) were dropped, none failed through to the engine
+            assert counters["cluster.shards_submitted"] == counters[
+                "cluster.shards_completed"
             ]
-            assert counters.get("ha.shards_failed", 0) == 0
-            assert counters.get("ha.takeovers", 0) == 1, (
-                "the seeded coordinator_kill must have fired exactly once"
-            )
+            assert counters.get("cluster.shards_failed", 0) == 0
+            # both the node kill and the partition fired
+            assert counters["cluster.workers_lost"] >= 2
         finally:
             executor.shutdown()

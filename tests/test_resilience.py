@@ -195,7 +195,6 @@ class TestFaultPlan:
             "cluster.partition",
             "cluster.node_kill",
             "cluster.shard_slow",
-            "cluster.coordinator_kill",
         }
 
 

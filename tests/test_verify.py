@@ -220,6 +220,31 @@ def test_residual_checker_iterative_builder_fallback(rng):
     assert checker.check(builder.solve(rhs), rhs).passed
 
 
+def test_uniform_periodic_solves_verify_at_large_n(rng):
+    """A uniform periodic matrix is assembled as an exact circulant, so
+    correct solves verify at any n.  The symmetric solvers factor one
+    triangle; per-row rounding of the global knots once made the
+    assembled matrix asymmetric by 1.1e-13 at n=1000, and η against it
+    exceeded the engine's 64·κ₁·ε tolerance on correct answers."""
+    from repro.runtime.engine import EngineConfig, SolveEngine
+
+    with SolveEngine(EngineConfig(verify_every=1)) as engine:
+        for degree in (3, 5):
+            spec = BSplineSpec(degree=degree, n_points=1000)
+            for rhs in (np.ones(1000), rng.standard_normal(1000)):
+                engine.solve(spec, rhs)  # VerificationError on rejection
+    eps = np.finfo(np.float64).eps
+    for n in (500, 600, 1000):
+        for degree in (3, 4, 5):
+            builder = SplineBuilder(BSplineSpec(degree=degree, n_points=n))
+            checker = ResidualChecker(builder)
+            rhs = rng.standard_normal((n, 4))
+            x = builder.solve(rhs)
+            assert checker.backward_errors(x, rhs).max() <= 4 * eps
+            perturbed = x * (1.0 + 1e-10 * rng.standard_normal(x.shape))
+            assert not checker.check(perturbed, rhs).passed
+
+
 # -- oracles ---------------------------------------------------------------
 
 
