@@ -55,8 +55,17 @@ class PeriodicBSplines:
 
     def wrap(self, x) -> np.ndarray:
         """Map *x* periodically into ``[xmin, xmax)``."""
-        return self.xmin + np.mod(np.asarray(x, dtype=np.float64) - self.xmin,
-                                  self.period)
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 0:
+            return self.xmin + np.mod(x - self.xmin, self.period)
+        # np.mod is exact, and the identity, on [0, period) but for -0.0,
+        # which adding xmin turns into +0.0 anyway: only the points outside
+        # pay for it, and every result keeps its bits.
+        y = x - self.xmin
+        outside = (y < 0.0) | (y >= self.period)
+        if outside.any():
+            y[outside] = np.mod(y[outside], self.period)
+        return self.xmin + y
 
     @cached_property
     def greville(self) -> np.ndarray:
@@ -103,13 +112,7 @@ class PeriodicBSplines:
         cells = self._cells(xw)
         spans = cells + self.degree  # knot-array span: t[span] <= x < t[span+1]
         values = eval_basis(self.knots, self.degree, spans, xw)
-        offsets = np.arange(self.degree + 1, dtype=np.int64)
-        if np.ndim(cells) == 0:
-            indices = (int(cells) - self.degree + offsets) % self.nbasis
-        else:
-            indices = (np.asarray(cells)[None, :] - self.degree
-                       + offsets[:, None]) % self.nbasis
-        return indices, values
+        return self._indices(cells), values
 
     def eval_nonzero_basis_derivs(self, x):
         """Like :meth:`eval_nonzero_basis` but returning
@@ -118,13 +121,18 @@ class PeriodicBSplines:
         cells = self._cells(xw)
         spans = cells + self.degree
         values, derivs = eval_basis_derivs(self.knots, self.degree, spans, xw)
+        return self._indices(cells), values, derivs
+
+    def _indices(self, cells):
+        """Periodic basis indices ``(cell - d + r) mod n``, ``r = 0..d``."""
         offsets = np.arange(self.degree + 1, dtype=np.int64)
         if np.ndim(cells) == 0:
-            indices = (int(cells) - self.degree + offsets) % self.nbasis
-        else:
-            indices = (np.asarray(cells)[None, :] - self.degree
-                       + offsets[:, None]) % self.nbasis
-        return indices, values, derivs
+            return (int(cells) - self.degree + offsets) % self.nbasis
+        indices = np.asarray(cells)[None, :] - self.degree + offsets[:, None]
+        # cells lie in [0, n) and periodic_knots guarantees d < n, so an
+        # index dips below zero by at most d: adding n replaces the modulo
+        indices[indices < 0] += self.nbasis
+        return indices
 
     # -- the spline matrix --------------------------------------------------
     def collocation_matrix(self, points: np.ndarray = None) -> np.ndarray:

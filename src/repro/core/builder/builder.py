@@ -35,8 +35,10 @@ from repro.xspace import DefaultExecutionSpace, ExecutionSpace, parallel_for
 
 __all__ = ["SplineBuilder", "DEFAULT_SLAB"]
 
-#: default row-slab width for :meth:`SplineBuilder.solve_transposed`
-DEFAULT_SLAB = 128
+#: default row-slab width for :meth:`SplineBuilder.solve_transposed`; on
+#: short rows (n = 256) narrower slabs spend more in per-slab Python
+#: overhead than in the solve itself
+DEFAULT_SLAB = 1024
 
 _BACKENDS = ("vectorized", "serial")
 

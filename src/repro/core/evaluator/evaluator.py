@@ -6,10 +6,19 @@ spline at the foot of every characteristic.  Feet differ per batch column
 both shared points (``x`` of shape ``(npts,)`` applied to every batch
 column) and per-column points (``x`` of shape ``(npts, batch)``).
 
-Per-column evaluation is processed in batch chunks: the Cox-de Boor
-recurrence runs on the flattened chunk and coefficients are gathered with
-one fancy-indexing pass per basis offset, keeping temporaries bounded at
-``(degree + 1) x npts x chunk`` regardless of the total batch size.
+Per-column evaluation walks the points in fixed blocks of
+``_POINT_BLOCK`` points, so every per-point temporary of a block (Cox-de
+Boor levels, basis indices, gathered coefficients) stays cache-resident
+whatever the batch size.  The walk follows the coefficient layout: row by
+row over ``(npts, batch)`` for x-major coefficients, column by column for
+batch-major ones, so consecutive points gather from the same coefficient
+row.  Each block gathers with one flat ``np.take`` per basis offset and
+accumulates the ``d + 1`` products in the order ``np.sum(axis=0)`` adds
+them, so every value is bitwise what a single pass over all points gives.
+
+Coefficients are evaluated in ``np.result_type(coeffs.dtype, float64)``:
+real input computes in float64 (float32 promotes), complex input stays
+complex.
 """
 
 from __future__ import annotations
@@ -19,23 +28,27 @@ import numpy as np
 from repro.core.bsplines.space import PeriodicBSplines
 from repro.exceptions import ShapeError
 
-#: Batch-chunk width for per-column evaluation.
-DEFAULT_EVAL_CHUNK = 4096
+#: Points per block of per-column evaluation: each float64 temporary of a
+#: block is 128 KiB, so a block's working set stays in a 2 MiB L2.
+_POINT_BLOCK = 16384
+
+
+def _promoted(coeffs) -> np.ndarray:
+    """*coeffs* as float64, or as complex128 when they are complex."""
+    coeffs = np.asarray(coeffs)
+    return coeffs.astype(np.result_type(coeffs.dtype, np.float64), copy=False)
 
 
 class SplineEvaluator:
     """Evaluates periodic splines given their coefficient blocks."""
 
-    def __init__(self, space: PeriodicBSplines, chunk: int = DEFAULT_EVAL_CHUNK):
-        if chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
+    def __init__(self, space: PeriodicBSplines):
         self.space = space
-        self.chunk = int(chunk)
 
     # -- single coefficient vector -----------------------------------------
     def eval_1d(self, coeffs: np.ndarray, x) -> np.ndarray:
         """Evaluate one spline (``coeffs`` of length ``n``) at points *x*."""
-        coeffs = np.asarray(coeffs, dtype=np.float64)
+        coeffs = _promoted(coeffs)
         if coeffs.ndim != 1 or coeffs.shape[0] != self.space.nbasis:
             raise ShapeError(
                 f"coeffs must have length {self.space.nbasis}, got {coeffs.shape}"
@@ -45,7 +58,7 @@ class SplineEvaluator:
 
     def eval_deriv_1d(self, coeffs: np.ndarray, x) -> np.ndarray:
         """First derivative of one spline at points *x*."""
-        coeffs = np.asarray(coeffs, dtype=np.float64)
+        coeffs = _promoted(coeffs)
         if coeffs.ndim != 1 or coeffs.shape[0] != self.space.nbasis:
             raise ShapeError(
                 f"coeffs must have length {self.space.nbasis}, got {coeffs.shape}"
@@ -88,9 +101,12 @@ class SplineEvaluator:
         ``coeffs_batch_major=True`` it is ``(batch, n)`` — the storage
         layout the transpose-fused solve path
         (:meth:`~repro.core.SplineBuilder.solve_transposed`) produces, so
-        no full transpose is needed between solving and evaluating.
+        no full transpose is needed between solving and evaluating.  The
+        per-column result is then the transposed view of a C-contiguous
+        ``(batch, npts)`` array, so transposing it back to the storage
+        layout copies nothing.
         """
-        coeffs = np.asarray(coeffs, dtype=np.float64)
+        coeffs = _promoted(coeffs)
         n_axis = 1 if coeffs_batch_major else 0
         if coeffs.ndim != 2 or coeffs.shape[n_axis] != self.space.nbasis:
             raise ShapeError(
@@ -111,29 +127,45 @@ class SplineEvaluator:
                 f"per-column points must have shape (npts, batch={nbatch}), "
                 f"got {x.shape}"
             )
-        npts, batch = x.shape
-        out = np.empty((npts, batch))
-        for lo in range(0, batch, self.chunk):
-            hi = min(lo + self.chunk, batch)
-            xc = x[:, lo:hi]
-            flat = xc.reshape(-1)
-            indices, values = self.space.eval_nonzero_basis(flat)
-            # indices/values: (d+1, npts*(hi-lo)).  Column index of every
-            # flattened point, for gathering the right coefficient column.
-            cols = np.broadcast_to(
-                np.arange(lo, hi)[None, :], xc.shape
-            ).reshape(-1)
-            if coeffs_batch_major:
-                gathered = coeffs[cols[None, :], indices]
-            else:
-                gathered = coeffs[indices, cols[None, :]]
-            out[:, lo:hi] = np.sum(values * gathered, axis=0).reshape(npts, hi - lo)
-        return out
+        # Walk the points in the coefficient layout's order, so consecutive
+        # points gather from the same coefficient row: row by row over
+        # (npts, batch) for x-major coefficients, column by column over
+        # (batch, npts) for batch-major ones.
+        walk = x.T if coeffs_batch_major else x
+        out = np.empty(walk.shape, dtype=coeffs.dtype)
+        flat = np.ascontiguousarray(coeffs).reshape(-1)
+        # flat offset of coefficient (i, column j) is i*stride_n + j*stride_b
+        stride_n, stride_b = (1, self.space.nbasis) if coeffs_batch_major else (nbatch, 1)
+        col_start = np.arange(nbatch) * stride_b
+        rows, width = walk.shape
+        cstep = max(1, min(width, _POINT_BLOCK))
+        rstep = _POINT_BLOCK // cstep
+        for r0 in range(0, rows, rstep):
+            for c0 in range(0, width, cstep):
+                block = walk[r0 : r0 + rstep, c0 : c0 + cstep]
+                nr, nc = block.shape
+                if coeffs_batch_major:
+                    start = col_start[r0 : r0 + nr, None]
+                else:
+                    start = col_start[c0 : c0 + nc]
+                indices, values = self.space.eval_nonzero_basis(block.reshape(-1))
+                shape = (values.shape[0], nr, nc)
+                lin = indices.reshape(shape) * stride_n
+                lin += start
+                values = values.reshape(shape)
+                # the d+1 products added in np.sum(axis=0)'s order, from +0.0
+                dst = out[r0 : r0 + nr, c0 : c0 + nc]
+                dst[...] = 0.0
+                for r in range(shape[0]):
+                    term = np.take(flat, lin[r])
+                    term *= values[r]
+                    dst += term
+        return out.T if coeffs_batch_major else out
 
     def __call__(self, coeffs: np.ndarray, x) -> np.ndarray:
         """Dispatch on coefficient rank: 1-D → :meth:`eval_1d`, 2-D →
         :meth:`eval_batched`."""
-        coeffs = np.asarray(coeffs, dtype=np.float64)
+        coeffs = np.asarray(coeffs)
         if coeffs.ndim == 1:
             return self.eval_1d(coeffs, x)
         return self.eval_batched(coeffs, x)

@@ -12,6 +12,7 @@ from repro.core.bsplines import (
 )
 from repro.core.spec import paper_configurations
 from repro.exceptions import ShapeError
+from repro.testing import rng_for
 
 ALL_CONFIGS = list(paper_configurations(32))
 CONFIG_IDS = [s.label for s in ALL_CONFIGS]
@@ -30,6 +31,28 @@ class TestSpace:
         np.testing.assert_allclose(space.wrap(1.25), 0.25)
         np.testing.assert_allclose(space.wrap(-0.25), 0.75)
         np.testing.assert_allclose(space.wrap(3.0), 0.0)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-2.0, 5.0)])
+    def test_wrap_arrays_keep_the_mod_bits(self, lo, hi):
+        """Arrays skip ``np.mod`` inside the domain; every result is still
+        bitwise ``xmin + np.mod(x - xmin, period)``."""
+        space = PeriodicBSplines(uniform_breakpoints(16, lo, hi), 3)
+        rng = rng_for(5)
+        span = hi - lo
+        x = np.concatenate([
+            rng.uniform(lo, hi, 500),
+            rng.uniform(lo - 3.0 * span, hi + 3.0 * span, 500),
+            space.breaks,
+            [-0.0, 0.0, np.nextafter(lo, -np.inf), np.nextafter(hi, -np.inf)],
+        ])
+        got = space.wrap(x)
+        ref = space.xmin + np.mod(x - space.xmin, space.period)
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+        if lo == 0.0:  # in-range points come back bit for bit
+            inside = (x >= lo) & (x < hi)
+            np.testing.assert_array_equal(got[inside], x[inside])
+        assert not np.shares_memory(got, x)
 
     def test_greville_uniform_degree3_are_breakpoints(self):
         space = PeriodicBSplines(uniform_breakpoints(8), 3)

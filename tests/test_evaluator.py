@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BSplineSpec, SplineBuilder, SplineEvaluator
+from repro.core.evaluator import evaluator
 from repro.exceptions import ShapeError
 
 from repro.testing import rng_for
@@ -112,14 +113,20 @@ class TestEvalBatched:
                 out[:, j], ev.eval_1d(coeffs[:, j], xs[:, j]), atol=1e-13
             )
 
-    def test_chunked_matches_unchunked(self, rng):
-        builder, _ = build()
-        f = rng.standard_normal((48, 11))
-        coeffs = builder.solve(f)
-        xs = rng.uniform(0.0, 1.0, size=(9, 11))
-        big = SplineEvaluator(builder.space_1d, chunk=10_000)(coeffs, xs)
-        small = SplineEvaluator(builder.space_1d, chunk=2)(coeffs, xs)
-        np.testing.assert_allclose(big, small, atol=1e-14)
+    def test_point_blocks_match_single_block(self, rng, monkeypatch):
+        """Block boundaries inside rows, across rows and inside columns
+        leave every value bitwise unchanged, in both layouts."""
+        builder, ev = build()
+        coeffs = builder.solve(rng.standard_normal((48, 11)))
+        coeffs_bm = np.ascontiguousarray(coeffs.T)
+        xs = rng.uniform(-0.5, 1.5, size=(9, 11))
+        whole = ev(coeffs, xs)  # 99 points: one block
+        for block in (1, 2, 7, 11, 12, 98):
+            monkeypatch.setattr(evaluator, "_POINT_BLOCK", block)
+            np.testing.assert_array_equal(ev(coeffs, xs), whole)
+            np.testing.assert_array_equal(
+                ev.eval_batched(coeffs_bm, xs, coeffs_batch_major=True), whole
+            )
 
     def test_shape_errors(self, rng):
         builder, ev = build()
@@ -128,8 +135,54 @@ class TestEvalBatched:
             ev.eval_batched(coeffs, rng.uniform(size=(5, 4)))  # batch mismatch
         with pytest.raises(ShapeError):
             ev.eval_batched(np.ones((47, 3)), np.ones(5))
-        with pytest.raises(ValueError):
-            SplineEvaluator(builder.space_1d, chunk=0)
+
+    @pytest.mark.parametrize("batch_major", [False, True])
+    def test_empty_point_sets(self, rng, batch_major):
+        """Zero points or zero columns: no block to walk, an empty result."""
+        builder, ev = build()
+        for npts, batch in ((0, 3), (5, 0)):
+            coeffs = rng.standard_normal((48, batch))
+            if batch_major:
+                coeffs = np.ascontiguousarray(coeffs.T)
+            out = ev.eval_batched(
+                coeffs, np.zeros((npts, batch)), coeffs_batch_major=batch_major
+            )
+            assert out.shape == (npts, batch)
+
+
+class TestComplexCoefficients:
+    """A complex128 builder's coefficients evaluate as complex: the
+    imaginary part is not dropped."""
+
+    @pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+    def test_round_trip(self):
+        builder = SplineBuilder(BSplineSpec(degree=3, n_points=32), dtype=np.complex128)
+        ev = SplineEvaluator(builder.space_1d)
+        pts = builder.interpolation_points()
+        f = np.exp(2j * np.pi * pts)
+        coeffs = builder.solve(f)
+        for got in (ev.eval_1d(coeffs, pts), ev(coeffs, pts)):
+            assert got.dtype == np.complex128
+            np.testing.assert_allclose(got, f, atol=1e-13)
+        block = np.stack([f, (1.0 + 2.0j) * f, np.conj(f)], axis=1)
+        coeffs = builder.solve(block)
+        coeffs_bm = np.ascontiguousarray(coeffs.T)
+        for xs in (pts, np.repeat(pts[:, None], 3, axis=1)):
+            for got in (
+                ev.eval_batched(coeffs, xs),
+                ev.eval_batched(coeffs_bm, xs, coeffs_batch_major=True),
+                ev(coeffs, xs),
+            ):
+                assert got.dtype == np.complex128
+                np.testing.assert_allclose(got, block, atol=1e-13)
+
+    def test_float32_still_promotes(self, rng):
+        builder, ev = build()
+        coeffs = builder.solve(rng.standard_normal((48, 4))).astype(np.float32)
+        xs = rng.uniform(0.0, 1.0, size=(6, 4))
+        got = ev.eval_batched(coeffs, xs)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, ev.eval_batched(coeffs.astype(np.float64), xs))
 
 
 @settings(max_examples=20, deadline=None)

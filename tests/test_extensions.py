@@ -9,6 +9,7 @@ from repro.advection import BatchedAdvection1D
 from repro.core import BSplineSpec, SplineBuilder, SplineEvaluator
 from repro.core.bsplines import PeriodicBSplines, nonuniform_breakpoints, uniform_breakpoints
 from repro.core.bsplines.basis import find_cell
+from repro.core.evaluator import evaluator
 from repro.exceptions import ShapeError
 from repro.xspace import get_execution_space
 
@@ -101,15 +102,17 @@ class TestBatchMajorEvaluation:
                             coeffs_batch_major=True)
         np.testing.assert_allclose(a, b, atol=1e-14)
 
-    def test_per_column_points_agree(self, rng):
+    def test_per_column_points_agree(self, rng, monkeypatch):
+        # 3-point blocks cut both walks inside rows and across them
+        monkeypatch.setattr(evaluator, "_POINT_BLOCK", 3)
         builder = SplineBuilder(BSplineSpec(degree=4, n_points=28))
-        ev = SplineEvaluator(builder.space_1d, chunk=3)
+        ev = SplineEvaluator(builder.space_1d)
         coeffs = builder.solve(rng.standard_normal((28, 7)))
         xs = rng.uniform(0.0, 1.0, size=(11, 7))
         a = ev.eval_batched(coeffs, xs)
         b = ev.eval_batched(np.ascontiguousarray(coeffs.T), xs,
                             coeffs_batch_major=True)
-        np.testing.assert_allclose(a, b, atol=1e-14)
+        np.testing.assert_array_equal(a, b)
 
     def test_shape_validation(self, rng):
         builder = SplineBuilder(BSplineSpec(degree=3, n_points=32))
