@@ -69,11 +69,12 @@ class SplineEvaluator:
     def integrate(self, coeffs: np.ndarray) -> np.ndarray:
         """Exact integral of the spline(s) over the domain.
 
-        ``coeffs`` of shape ``(n,)`` returns a scalar; ``(n, batch)``
-        returns per-column integrals.  Exact because B-spline integrals
-        are knot differences (see ``quadrature_weights``).
+        ``coeffs`` of shape ``(n,)`` returns a scalar (a Python ``complex``
+        for complex coefficients); ``(n, batch)`` returns per-column
+        integrals.  Exact because B-spline integrals are knot differences
+        (see ``quadrature_weights``).
         """
-        coeffs = np.asarray(coeffs, dtype=np.float64)
+        coeffs = _promoted(coeffs)
         if coeffs.shape[0] != self.space.nbasis:
             raise ShapeError(
                 f"coeffs must have leading extent {self.space.nbasis}, "
@@ -81,7 +82,7 @@ class SplineEvaluator:
             )
         w = self.space.quadrature_weights
         if coeffs.ndim == 1:
-            return float(w @ coeffs)
+            return (w @ coeffs).item()
         return w @ coeffs
 
     # -- batched ---------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.evaluator.evaluator import _promoted
 from repro.exceptions import ShapeError
 
 
@@ -22,7 +23,7 @@ class SplineEvaluator2D:
         self.space_y = space_y
 
     def _check(self, coeffs: np.ndarray) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=np.float64)
+        coeffs = _promoted(coeffs)
         if coeffs.ndim != 2 or coeffs.shape != (self.space_x.nbasis,
                                                 self.space_y.nbasis):
             raise ShapeError(

@@ -26,8 +26,12 @@ Every solver comes in two backends:
 * plain ``*`` — operates on an ``(n, batch)`` right-hand-side block with
   the batch axis vectorized through NumPy.  The matrix-dimension loop stays
   sequential (the algorithms are "intrinsically sequential" along the
-  matrix, §II-C1), so each step is one O(batch) vector operation.  This is
-  the performance backend, playing the role the GPU plays in the paper.
+  matrix, §II-C1), so each matrix row costs interpreter calls.  The banded
+  solves and ``coo_spmm`` prepare their row views, band columns, pivots and
+  COO coordinates once per call, so each row (or non-zero) costs a fixed
+  handful of O(batch) array operations, with the scalar operations and
+  order of the per-step loops they replaced.  This is the performance
+  backend, playing the role the GPU plays in the paper.
 
 All solve kernels follow LAPACK's **in-place** convention: ``b`` holds the
 right-hand sides on entry and the solutions on exit — the memory-efficiency

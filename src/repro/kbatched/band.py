@@ -109,6 +109,19 @@ def spd_dense_to_band_upper(a: Array, kd: int) -> Array:
     return ab
 
 
+def band_columns(xp, band: Array) -> Array:
+    """Rows of band storage (``k × n``) as an ``(n, k, 1)`` array whose
+    ``[j, ...]`` entry is band column ``j``, shaped to broadcast against a
+    ``(1, batch)`` row view of a right-hand-side block.
+
+    Rows must be ``(1, batch)`` views, not ``(batch,)``: at width 1 a
+    ``(1, 1)`` column times a ``(1,)`` row reaches NumPy's unfused scalar
+    complex-multiply loop and rounds differently from an outer product.
+    """
+    n = band.shape[1]
+    return xp.reshape(xp.permute_dims(band, (1, 0)), (n, band.shape[0], 1))
+
+
 def spd_band_upper_to_dense(ab: Array) -> Array:
     """Unpack upper SPD band storage to a dense symmetric matrix."""
     kd = ab.shape[0] - 1

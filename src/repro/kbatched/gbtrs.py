@@ -7,6 +7,10 @@ the banded ``U`` (bandwidth ``kl + ku`` after fill-in).  In place on ``b``.
 batch-vectorized variant operating on ``(n, batch)`` blocks.  These solve
 the non-uniform spline systems every time step, so unlike the
 factorization they are performance-critical (Table V's non-uniform rows).
+The block solve takes its row views, its ``(kl, 1)`` multiplier and
+``(kl + ku, 1)`` ``U`` columns and its pivots as Python ints once per
+call, so each matrix row costs one broadcast rank-1 update of the band
+plus, in the backward sweep, one divide.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from __future__ import annotations
 # indices); the solve arithmetic is namespace-agnostic.
 import numpy as np
 
-from repro.backend import Array, get_namespace, outer
+from repro.backend import Array, get_namespace
 from repro.exceptions import ShapeError
+from repro.kbatched.band import band_columns
 from repro.kbatched.types import Trans
 
 
@@ -103,6 +108,7 @@ def gbtrs(
     xp = get_namespace(ab, b)
     kv = kl + ku
     if trans is Trans.TRANSPOSE:
+        # Only the condition estimator solves transposed; not a hot path.
         for j in range(n):
             lm = min(kv, j)
             if lm > 0:
@@ -121,21 +127,25 @@ def gbtrs(
                     b[j, ...] = b[jp, ...]
                     b[jp, ...] = tmp
         return 0
+    rows = [b[j : j + 1, ...] for j in range(n)]
     if kl > 0:
-        for j in range(n - 1):
-            jp = int(ipiv[j])
+        piv = np.asarray(ipiv[: n - 1]).tolist()
+        lcols = band_columns(xp, ab[kv + 1 :, ...])
+        for j, jp in enumerate(piv):
+            row = rows[j]
             if jp != j:
-                tmp = xp.asarray(b[j, ...], copy=True)
-                b[j, ...] = b[jp, ...]
-                b[jp, ...] = tmp
+                tmp = xp.asarray(row, copy=True)
+                row[...] = rows[jp]
+                rows[jp][...] = tmp
             km = min(kl, n - 1 - j)
-            if km > 0:
-                b[j + 1 : j + km + 1, ...] -= outer(
-                    xp, ab[kv + 1 : kv + km + 1, j], b[j, ...]
-                )
+            below = b[j + 1 : j + 1 + km, ...]
+            below -= lcols[j, :km, :] * row
+    diag = ab[kv, ...]
+    ucols = band_columns(xp, ab[:kv, ...])
     for j in range(n - 1, -1, -1):
-        b[j, ...] /= ab[kv, j]
+        row = rows[j]
+        row /= diag[j]
         lm = min(kv, j)
-        if lm > 0:
-            b[j - lm : j, ...] -= outer(xp, ab[kv - lm : kv, j], b[j, ...])
+        above = b[j - lm : j, ...]
+        above -= ucols[j, kv - lm :, :] * row
     return 0

@@ -5,14 +5,21 @@ with ``Lᵀ`` (or ``U``), in place on ``b``.
 
 :func:`serial_pbtrs` handles one right-hand side with scalar loops (the
 KokkosBatched serial kernel); :func:`pbtrs` handles an ``(n, batch)`` block
-with the batch axis vectorized — the inner band loop of length ``kd`` stays
-scalar, so each matrix step costs ``kd`` vector operations.
+with the batch axis vectorized.  For lower storage, the one the plans
+factor, its row views and ``(kd, 1)`` factor columns are prepared once per
+call, so a forward step is one divide plus one broadcast update of the
+``kd`` rows below, and a backward step is one broadcast multiply, the
+``kd`` subtractions in LAPACK's order and one divide: the scalar
+operations, and their order, of the per-step loop it replaced.  Upper
+storage runs :func:`_solve_upper`, one scalar-indexed update per band
+entry.
 """
 
 from __future__ import annotations
 
-from repro.backend import Array
+from repro.backend import Array, get_namespace
 from repro.exceptions import ShapeError
+from repro.kbatched.band import band_columns
 from repro.kbatched.types import Uplo
 
 
@@ -79,18 +86,27 @@ def pbtrs(
     kd = _check(ab, b)
     if b.ndim != 2:
         raise ShapeError(f"b must have shape (n, batch), got {b.shape}")
-    n = ab.shape[1]
     if uplo is Uplo.UPPER:
         _solve_upper(ab, b)
         return 0
+    n = ab.shape[1]
+    xp = get_namespace(ab, b)
+    diag = ab[0, ...]
+    cols = band_columns(xp, ab[1:, ...])  # cols[j, r - 1] = L[j + r, j]
+    rows = [b[j : j + 1, ...] for j in range(n)]
+    # Forward substitution: L y = b, column j updating the kn rows below.
     for j in range(n):
-        b[j, ...] /= ab[0, j]
+        row = rows[j]
+        row /= diag[j]
         kn = min(kd, n - 1 - j)
-        for r in range(1, kn + 1):
-            b[j + r, ...] -= ab[r, j] * b[j, ...]
+        below = b[j + 1 : j + 1 + kn, ...]
+        below -= cols[j, :kn, :] * row
+    # Backward substitution: Lᵀ x = y, subtracting r = 1..kn in order.
     for j in range(n - 1, -1, -1):
+        row = rows[j]
         kn = min(kd, n - 1 - j)
-        for r in range(1, kn + 1):
-            b[j, ...] -= ab[r, j] * b[j + r, ...]
-        b[j, ...] /= ab[0, j]
+        prods = cols[j, :kn, :] * b[j + 1 : j + 1 + kn, ...]
+        for r in range(kn):
+            row -= prods[r : r + 1, ...]
+        row /= diag[j]
     return 0

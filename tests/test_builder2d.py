@@ -50,6 +50,25 @@ class TestBuilder2D:
         vals = ev.eval_points(coeffs, xx.ravel(), yy.ravel()).reshape(f.shape)
         np.testing.assert_allclose(vals, f, atol=1e-8)
 
+    @pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+    def test_complex_coefficients_evaluate_as_complex(self, rng):
+        builder, ev = make2d()
+        re = builder.solve(rng.standard_normal((builder.nx, builder.ny)))
+        im = builder.solve(rng.standard_normal((builder.nx, builder.ny)))
+        xs, ys = rng.uniform(0, 1, 50), rng.uniform(0, 1, 50)
+        got = ev.eval_points(re + 1j * im, xs, ys)
+        assert got.dtype == np.complex128
+        np.testing.assert_allclose(
+            got, ev.eval_points(re, xs, ys) + 1j * ev.eval_points(im, xs, ys),
+            atol=1e-13,
+        )
+        grid = ev.eval_grid(re + 1j * im, xs[:7], ys[:5])
+        np.testing.assert_allclose(
+            grid,
+            ev.eval_grid(re, xs[:7], ys[:5]) + 1j * ev.eval_grid(im, xs[:7], ys[:5]),
+            atol=1e-13,
+        )
+
     def test_extra_batch_axis(self, rng):
         builder, _ = make2d()
         f = rng.standard_normal((builder.nx, builder.ny, 4))

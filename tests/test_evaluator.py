@@ -176,6 +176,17 @@ class TestComplexCoefficients:
                 assert got.dtype == np.complex128
                 np.testing.assert_allclose(got, block, atol=1e-13)
 
+    @pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+    def test_integrate_keeps_the_imaginary_part(self):
+        builder = SplineBuilder(BSplineSpec(degree=3, n_points=32), dtype=np.complex128)
+        ev = SplineEvaluator(builder.space_1d)
+        got = ev.integrate(builder.solve(np.full(builder.n, 1.0 + 1.0j)))
+        assert isinstance(got, complex)
+        assert abs(got - (1.0 + 1.0j)) < 1e-14
+        levels = np.array([1.0 + 1.0j, 2.0 - 3.0j, -0.5j])
+        block = builder.solve(np.tile(levels, (builder.n, 1)))
+        np.testing.assert_allclose(ev.integrate(block), levels, atol=1e-14)
+
     def test_float32_still_promotes(self, rng):
         builder, ev = build()
         coeffs = builder.solve(rng.standard_normal((48, 4))).astype(np.float32)
