@@ -4,11 +4,14 @@ Two claims from the resilience layer are measured here:
 
 1. **Dormant faults are free.**  Every fault hook in the runtime is
    guarded by ``if faults is not None``; with a plan installed the hook
-   additionally pays one dict lookup per visit.  The A/B experiment runs
-   the identical submit campaign three ways — no plan, an inert plan
-   (specs that never fire), and no hooks at all would be indistinguishable
-   — and asserts the inert-plan run stays within ``timing_tolerance`` of
-   the fault-free run.
+   additionally pays one dict lookup per visit.  The experiment runs the
+   identical verified submit campaign with no plan and with an inert plan
+   (specs that never fire) and checks what holds by construction: the
+   results are bitwise equal, the plan fires nothing and holds no random
+   stream, and each hook is visited once per dispatched batch, never once
+   per column.  The two wall timings and their ratio are reported as
+   evidence, not asserted: two ≈ 10 ms timings through a threaded engine
+   differ by more than the hooks could cost.
 
 2. **Healing is bounded and exact.**  A seeded crash plan kills workers
    mid-campaign; the worker pool requeues and respawns, and the run
@@ -38,12 +41,6 @@ import numpy as np
 
 from repro.core.spec import BSplineSpec
 from repro.runtime import FaultPlan, FaultSpec, SolveEngine
-from repro.testing import timing_tolerance
-
-#: intended ceiling on (inert plan) / (no plan) campaign wall time; the
-#: hooks an inert plan pays are one `is not None` test plus one dict
-#: lookup per visit, which must disappear into scheduling noise
-OVERHEAD_CEILING = 1.25
 
 
 def _columns(n: int, count: int, seed: int = 0) -> np.ndarray:
@@ -63,29 +60,59 @@ def _inert_plan() -> FaultPlan:
     )
 
 
-def _campaign_seconds(engine, spec, columns, rounds: int) -> float:
-    """Best-of-*rounds* wall time of one submit/flush/gather campaign."""
+def _campaign(engine, spec, columns, rounds: int):
+    """Best-of-*rounds* wall time of one submit/flush/gather campaign,
+    and the last round's results."""
     best = float("inf")
     engine.solve(spec, columns[0])  # factor once before timing
     for _ in range(rounds):
         t0 = time.perf_counter()
         futures = [engine.submit(spec, col) for col in columns]
         engine.flush()
-        for fut in futures:
-            fut.result(timeout=60)
+        results = [fut.result(timeout=60) for fut in futures]
         best = min(best, time.perf_counter() - t0)
-    return best
+    return best, results
 
 
 def render_overhead(nx: int, requests: int, rounds: int):
-    """A/B the dormant-fault hot path; returns (report, overhead ratio)."""
+    """A/B the dormant-fault hot path.
+
+    Returns ``(report, ratio, failures)``: the timing ratio is evidence
+    only; *failures* lists every by-construction check that did not hold.
+    """
     spec = BSplineSpec(degree=3, n_points=nx)
     columns = _columns(nx, requests)
-    timings = {}
-    for label, faults in (("no plan", None), ("inert plan", _inert_plan())):
-        with SolveEngine(max_batch=64, max_linger=1e-3, faults=faults) as eng:
-            timings[label] = _campaign_seconds(eng, spec, columns, rounds)
+    plan = _inert_plan()
+    timings, results = {}, {}
+    for label, faults in (("no plan", None), ("inert plan", plan)):
+        with SolveEngine(
+            max_batch=64, max_linger=1e-3, verify_every=1, faults=faults
+        ) as eng:
+            timings[label], results[label] = _campaign(
+                eng, spec, columns, rounds
+            )
+            if faults is plan:
+                batches = eng.telemetry_snapshot()["counters"][
+                    "engine.batches_dispatched"
+                ]
+    sites = [fault.site for fault in plan.specs]
     ratio = timings["inert plan"] / timings["no plan"]
+    failures = []
+    if not all(
+        np.array_equal(a, b)
+        for a, b in zip(results["inert plan"], results["no plan"])
+    ):
+        failures.append("inert-plan results differ from the no-plan results")
+    if plan.fired():
+        failures.append(f"the inert plan fired {plan.fired()} times")
+    for site in sites:  # once per batch, never once per column
+        if plan.visits(site) != batches:
+            failures.append(
+                f"{site} visited {plan.visits(site)} times for "
+                f"{batches} dispatched batches"
+            )
+    if plan._streams:  # probability 1.0 everywhere: nothing is drawn
+        failures.append("the inert plan holds a random stream")
     table = Table(
         f"Dormant fault-hook overhead: {requests} submits, n={nx}, "
         f"best of {rounds}",
@@ -93,7 +120,13 @@ def render_overhead(nx: int, requests: int, rounds: int):
     )
     table.add_row("no plan", timings["no plan"] * 1e3, "1.00x")
     table.add_row("inert plan", timings["inert plan"] * 1e3, f"{ratio:.2f}x")
-    return table.render(), ratio
+    lines = [
+        table.render(),
+        f"inert plan: {plan.fired()} firings, hook visits per site "
+        f"{[plan.visits(site) for site in sites]} for {batches} "
+        "dispatched batches",
+    ]
+    return "\n".join(lines), ratio, failures
 
 
 def render_recovery(nx: int, requests: int):
@@ -156,13 +189,11 @@ def render_recovery(nx: int, requests: int):
 
 
 def test_dormant_fault_overhead(write_result):
-    """An inert fault plan must not slow the submit hot path."""
-    report, ratio = render_overhead(nx=64, requests=256, rounds=5)
+    """An inert fault plan leaves the bits alone and costs one hook
+    visit per site and batch."""
+    report, _, failures = render_overhead(nx=64, requests=256, rounds=5)
     write_result("chaos_overhead", report)
-    assert ratio <= timing_tolerance(OVERHEAD_CEILING), (
-        f"inert fault plan cost {ratio:.2f}x over the fault-free campaign; "
-        f"expected <= {timing_tolerance(OVERHEAD_CEILING):.2f}x"
-    )
+    assert not failures, failures
 
 
 def test_crash_recovery_is_bitwise(write_result):
@@ -187,9 +218,15 @@ def main(argv=None) -> int:
         nx, requests, rounds = 64, 256, 3
     else:
         nx, requests, rounds = 256, 1024, 5
-    report, ratio = render_overhead(nx=nx, requests=requests, rounds=rounds)
+    report, ratio, failures = render_overhead(
+        nx=nx, requests=requests, rounds=rounds
+    )
     print(report)
-    print(f"dormant-hook overhead: {ratio:.2f}x")
+    print(f"dormant-hook overhead: {ratio:.2f}x (reported, not gated)")
+    for failure in failures:
+        print(f"FAILURE: {failure}")
+    if failures:
+        return 1
     report, identical, counters = render_recovery(nx=nx, requests=requests)
     print(report)
     if not identical:

@@ -11,20 +11,15 @@ communicator + alpha-beta network model:
   against the modeled A100 compute time per rank, locating the scaling
   knee.
 
-It also runs the **real** multi-host path: strong and weak scaling of
-``repro.cluster`` over loopback-TCP worker fleets (the shards travel the
-actual wire protocol, raw bytes and all), writing the machine-readable
-``BENCH_cluster_scaling.json`` artifact CI uploads.  Standalone::
+Standalone::
 
-    python benchmarks/bench_distributed_scaling.py --quick
+    python benchmarks/bench_distributed_scaling.py
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -36,18 +31,9 @@ except ImportError:  # running as a script from a source checkout
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from repro.bench import Table
 
-from repro.bench.report import write_bench_json
 from repro.core import BSplineSpec, SplineBuilder
 from repro.distributed import DistributedAdvection1D, NetworkModel
 from repro.perfmodel.devicesim import paper_simulators
-
-
-def usable_cores() -> int:
-    """Cores this process may actually schedule on (cgroup/affinity aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def render_scaling(nx: int, nv: int) -> str:
@@ -107,133 +93,12 @@ def test_distributed_step_speed(benchmark, nx, ranks):
     benchmark.pedantic(lambda: dist.step(f), rounds=3, iterations=1)
 
 
-# ---------------------------------------------------------------------------
-# real multi-host scaling: the cluster executor over loopback-TCP fleets
-# ---------------------------------------------------------------------------
-
-
-def _cluster_seconds(executor, key, block: np.ndarray, repeats: int) -> float:
-    """Best-of-*repeats* wall time of one sharded fleet solve."""
-    best = float("inf")
-    for _ in range(repeats):
-        work = block.copy()
-        t0 = time.perf_counter()
-        executor.solve_array(key, work)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def render_cluster_scaling(nx: int, cols: int, fleets=(1, 2, 4), repeats=3):
-    """Strong + weak scaling over real loopback-TCP worker fleets.
-
-    Strong: one fixed ``(n, cols)`` block across growing fleets.  Weak:
-    ``cols / max(fleets)`` columns *per worker*, so the per-node share is
-    constant and ideal scaling is flat wall time.  Every fleet's result
-    is checked bitwise against the single-host solve — the wire moves
-    raw C-order bytes, so the transport must never perturb a bit.
-    """
-    from repro.cluster import ClusterConfig, ClusterExecutor
-    from repro.runtime.plan_cache import PlanCache, PlanKey
-
-    spec = BSplineSpec(degree=3, n_points=nx)
-    key = PlanKey.from_spec(spec)
-    builder = PlanCache().builder(key)
-    rng = np.random.default_rng(0)
-    strong_block = rng.standard_normal((builder.n, cols))
-    reference = strong_block.copy()
-    builder.solve(reference, in_place=True)
-    per_worker = max(1, cols // max(fleets))
-    table = Table(
-        f"Cluster scaling over loopback TCP (n = {nx}, "
-        f"{usable_cores()} usable cores)",
-        ["workers", "strong B", "strong [ms]", "speedup",
-         "weak B", "weak [ms]", "weak efficiency"],
-    )
-    strong, weak, bitwise = {}, {}, True
-    for workers in fleets:
-        with ClusterExecutor(ClusterConfig(), num_workers=workers) as ex:
-            warm = strong_block[:, : 2 * workers].copy()
-            ex.solve_array(key, warm)  # factor the plan on every node
-            check = strong_block.copy()
-            ex.solve_array(key, check)
-            bitwise = bitwise and np.array_equal(check, reference)
-            strong[workers] = _cluster_seconds(
-                ex, key, strong_block, repeats
-            )
-            weak_block = rng.standard_normal(
-                (builder.n, per_worker * workers)
-            )
-            weak[workers] = _cluster_seconds(ex, key, weak_block, repeats)
-        base = fleets[0]
-        table.add_row(
-            workers,
-            cols,
-            strong[workers] * 1e3,
-            f"{strong[base] / strong[workers]:.2f}x",
-            per_worker * workers,
-            weak[workers] * 1e3,
-            f"{weak[base] / weak[workers]:.2f}",
-        )
-    lines = [table.render(), f"bitwise identical across fleets: {bitwise}"]
-    payload = {
-        "nx": nx,
-        "strong_cols": cols,
-        "weak_cols_per_worker": per_worker,
-        "fleets": list(fleets),
-        "repeats": repeats,
-        "usable_cores": usable_cores(),
-        "strong_seconds": {str(w): strong[w] for w in fleets},
-        "weak_seconds": {str(w): weak[w] for w in fleets},
-        "strong_speedup_vs_1": {
-            str(w): strong[fleets[0]] / strong[w] for w in fleets
-        },
-        "bitwise_identical": bitwise,
-    }
-    return "\n".join(lines), payload
-
-
-def test_cluster_scaling_artifact(write_result):
-    """Quick strong/weak scaling over a >= 4-worker loopback fleet; the
-    JSON artifact CI uploads; speedup asserted only with real cores."""
-    report, payload = render_cluster_scaling(
-        nx=128, cols=4096, fleets=(1, 2, 4), repeats=2
-    )
-    path = write_bench_json("cluster_scaling", payload)
-    write_result("cluster_scaling", report)
-    assert path.exists()
-    assert payload["bitwise_identical"]
-    if usable_cores() >= 4:
-        # With one core per worker actually available, four TCP workers
-        # must beat one on the same block.
-        assert payload["strong_speedup_vs_1"]["4"] > 1.0
-
-
 # -- standalone entry -------------------------------------------------------
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="CI smoke sizes"
-    )
-    args = parser.parse_args(argv)
-    if args.quick:
-        nx, cols, fleets, repeats = 128, 4096, (1, 2, 4), 2
-    else:
-        nx, cols, fleets, repeats = 256, 65_536, (1, 2, 4, 8), 3
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     print(render_scaling(1000, 100_000))
-    report, payload = render_cluster_scaling(
-        nx=nx, cols=cols, fleets=fleets, repeats=repeats
-    )
-    print(report)
-    path = write_bench_json("cluster_scaling", payload)
-    print(f"[json artifact written to {path}]")
-    if not payload["bitwise_identical"]:
-        print("FAILURE: cluster transport perturbed the solution bytes")
-        return 1
-    if usable_cores() >= 4 and payload["strong_speedup_vs_1"]["4"] <= 1.0:
-        print("FAILURE: no strong-scaling speedup despite >= 4 cores")
-        return 1
     return 0
 
 

@@ -37,7 +37,7 @@ class Decomposition:
         first ranks, the standard balanced block distribution).
 
         With more ranks than items the trailing ranks get well-formed
-        zero-width blocks ``(extent, extent)`` — an elastic fleet wider
+        zero-width blocks ``(extent, extent)`` — a worker pool wider
         than a narrow batch issues empty shards rather than crashing;
         executors skip dispatching them.
         """

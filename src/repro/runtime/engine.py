@@ -32,8 +32,8 @@ On top of that sits the PR 5 resilience layer (:mod:`repro.runtime.resilience`):
   respawns dead workers and requeues their in-flight shards
   (bitwise-identical results);
 * a **degradation ladder** keeps accepted requests answered when layers
-  fail: an exhausted worker pool drops the engine from *processes* (or
-  *cluster*) to *threads*, and a broken thread pool drops it to *serial*
+  fail: an exhausted worker pool drops the engine from *processes* to
+  *threads*, and a broken thread pool drops it to *serial*
   solves on the caller's thread.  Every transition is logged, counted,
   and recorded in the telemetry event ring; no rung ever silently drops
   a request.  A batch whose shared-memory lease fails
@@ -92,9 +92,7 @@ __all__ = [
 ]
 
 _BACKPRESSURE_POLICIES = ("block", "reject")
-_EXECUTORS = ("threads", "processes", "cluster")
-#: executor rungs that column-shard batches across a worker fleet
-_SHARDED_LEVELS = ("processes", "cluster")
+_EXECUTORS = ("threads", "processes")
 
 _LOG = logging.getLogger("repro.runtime.engine")
 
@@ -148,12 +146,7 @@ class EngineConfig:
         across a persistent :class:`~repro.runtime.sharded.ShardedExecutor`
         worker-process pool through shared memory, so a single paper-scale
         batch engages every worker past the GIL; results are bitwise
-        identical to the thread path.  ``"cluster"`` — batches are
-        column-sharded over a TCP worker fleet managed by a
-        :class:`~repro.cluster.executor.ClusterExecutor` coordinator
-        (heartbeat leases, shard re-issue on node loss, elastic
-        scale-up/down; see :mod:`repro.cluster`); shards travel as raw
-        C-order bytes, and results remain bitwise identical.
+        identical to the thread path.
     max_queue:
         In-flight column budget (buffered + solving, across all lanes);
         beyond it the *backpressure* policy applies.
@@ -191,24 +184,12 @@ class EngineConfig:
         injected without touching code.  Absent a plan, every hook costs
         one ``is None`` test.
     restart_budget:
-        Pool-wide worker respawns allowed before the worker pool (or
-        cluster fleet) is declared exhausted and the engine degrades to
-        threads.
+        Pool-wide worker respawns allowed before the worker pool is
+        declared exhausted and the engine degrades to threads.
     hang_timeout:
         Seconds an in-flight shard may age before its worker is declared
         hung and terminated (``None`` — hang detection off).  Must exceed
         the worst honest shard solve time.
-    live_wait_timeout:
-        Seconds a shard dispatch waits for *any* live worker before
-        failing (``None`` — the executor's default: 30 s for same-host
-        pipes, scaled with the heartbeat lease timeout for the cluster
-        transport, where respawning a remote worker takes longer).
-    cluster:
-        Optional :class:`~repro.cluster.config.ClusterConfig` tuning the
-        ``executor="cluster"`` fleet (bind address, lease/heartbeat
-        timing, elastic scaling policy, remote worker endpoints).
-        ``None`` uses loopback defaults with ``num_workers`` local
-        workers.  Ignored by the other executors.
     breaker_failures:
         Consecutive failures that trip one plan key's circuit open.
     breaker_reset:
@@ -257,8 +238,6 @@ class EngineConfig:
     backend_ns: Optional[str] = None
     plan_store_dir: Optional[str] = None
     checkpoint_dir: Optional[str] = None
-    live_wait_timeout: Optional[float] = None
-    cluster: Optional[object] = None
 
     def __post_init__(self) -> None:
         if (
@@ -321,19 +300,6 @@ class EngineConfig:
             raise ValueError(
                 f"breaker_probes must be >= 1, got {self.breaker_probes}"
             )
-        if self.live_wait_timeout is not None and self.live_wait_timeout <= 0:
-            raise ValueError(
-                f"live_wait_timeout must be > 0 or None, "
-                f"got {self.live_wait_timeout}"
-            )
-        if self.cluster is not None:
-            from repro.cluster.config import ClusterConfig
-
-            if not isinstance(self.cluster, ClusterConfig):
-                raise TypeError(
-                    f"cluster must be a ClusterConfig or None, "
-                    f"got {type(self.cluster).__name__}"
-                )
 
 
 class _Lane:
@@ -386,7 +352,7 @@ class SolveEngine:
         self.config = config or EngineConfig()
         # The namespace results are staged into; transport stays NumPy.
         self.xp = resolve_backend(self.config.backend_ns)
-        if self.config.executor in _SHARDED_LEVELS and not is_numpy_namespace(
+        if self.config.executor == "processes" and not is_numpy_namespace(
             self.xp
         ):
             raise BackendError(
@@ -452,16 +418,11 @@ class SolveEngine:
         self._capacity = threading.Condition()
         self._inflight_cols = 0
         self._closed = False
-        # Degradation ladder state: "processes"/"cluster" -> "threads" ->
-        # "serial".  Transitions are one-way for the engine's lifetime — a
-        # layer that failed under load is not trusted again until a fresh
-        # engine.
+        # Degradation ladder state: "processes" -> "threads" -> "serial".
+        # Transitions are one-way for the engine's lifetime — a layer that
+        # failed under load is not trusted again until a fresh engine.
         self._level_lock = threading.Lock()
-        self._level = (
-            self.config.executor
-            if self.config.executor in _SHARDED_LEVELS
-            else "threads"
-        )
+        self._level = self.config.executor
         self._serial = False
         # The sharded worker pool forks/spawns before the engine's own
         # threads exist, keeping the child processes clean of them.
@@ -476,20 +437,6 @@ class SolveEngine:
                 restart_budget=self.config.restart_budget,
                 hang_timeout=self.config.hang_timeout,
                 plan_store_dir=self._plan_store_dir,
-                live_wait_timeout=self.config.live_wait_timeout,
-            )
-        elif self.config.executor == "cluster":
-            from repro.cluster.config import ClusterConfig
-            from repro.cluster.executor import ClusterExecutor
-
-            self._sharded = ClusterExecutor(
-                config=self.config.cluster or ClusterConfig(),
-                num_workers=self.config.num_workers,
-                telemetry=self.telemetry,
-                faults=self._faults,
-                restart_budget=self.config.restart_budget,
-                plan_store_dir=self._plan_store_dir,
-                live_wait_timeout=self.config.live_wait_timeout,
             )
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.num_workers,
@@ -550,17 +497,17 @@ class SolveEngine:
 
     @property
     def degradation_level(self) -> str:
-        """Current executor rung: ``cluster``, ``processes``, ``threads``
-        or ``serial``."""
+        """Current executor rung: ``processes``, ``threads`` or
+        ``serial``."""
         return self._level
 
     def _use_sharded(self):
         """The sharded executor, or ``None`` once the engine degraded."""
-        return self._sharded if self._level in _SHARDED_LEVELS else None
+        return self._sharded if self._level == "processes" else None
 
     def _degrade_to_threads(self, reason: str) -> None:
         with self._level_lock:
-            if self._level not in _SHARDED_LEVELS:
+            if self._level != "processes":
                 return
             frm = self._level
             self._level = "threads"

@@ -26,8 +26,8 @@ survivors, and respawns them under exponential backoff with seeded
 jitter, bounded by a restart budget.
 
 The :class:`~repro.runtime.engine.SolveEngine` ties these into a
-graceful degradation ladder: ``processes`` (or ``cluster``) falls back
-to ``threads`` when the restart budget is spent, and to serial in-caller
+graceful degradation ladder: ``processes`` falls back to ``threads``
+when the restart budget is spent, and to serial in-caller
 solves when the thread pool itself fails — every transition logged and
 counted, and no accepted request is ever silently dropped.
 """

@@ -32,17 +32,6 @@ seeded list of :class:`FaultSpec` triggers bound to named hook points
  campaign.chunk         :func:`~repro.runtime.durable.run_campaign`,
                         before each streamed chunk is solved (``crash``
                         kills the campaign mid-flight)
- cluster.partition      cluster worker heartbeat thread, before each
-                        heartbeat send (``hang`` simulates a network
-                        partition: the lease lapses while data acks
-                        still flow)
- cluster.node_kill      cluster worker, before each shard solve
-                        (``crash`` kills the whole node mid-flight,
-                        ``slow`` delays the ack past a lease)
- cluster.shard_slow     cluster worker, after the node-kill hook and
-                        before the shard solve — a straggler dial for
-                        the speculative-execution path (``slow`` holds
-                        one copy while a speculative duplicate wins)
 ====================== ==================================================
 
 Fault kinds: ``raise`` (a chosen exception flavor), ``crash``
@@ -94,12 +83,6 @@ HOOK_SITES = {
     "durable.store_write": "plan-store entry commit failure",
     "durable.store_read": "plan-store entry read/parse failure",
     "campaign.chunk": "out-of-core campaign chunk failure or kill",
-    "cluster.partition": "cluster worker heartbeat send (hang mutes the "
-    "heartbeats so the lease lapses while data acks still flow)",
-    "cluster.node_kill": "cluster worker shard solve (crash kills the "
-    "node, slow delays the ack past a lease, raise fails the shard)",
-    "cluster.shard_slow": "cluster worker straggler dial (slow holds one "
-    "shard copy so a speculative duplicate can win the race)",
 }
 
 _KINDS = ("raise", "crash", "hang", "slow", "corrupt")

@@ -108,12 +108,9 @@ _JITTER_SEED = 0
 #: requeues one shard may consume before it fails permanently
 _MAX_SHARD_RETRIES = 4
 
-#: default seconds a dispatch will wait for the monitor to bring a
-#: worker back before giving up — well past the default backoff ceiling,
-#: so the only way to hit it is a pool that genuinely cannot heal.  Tuned
-#: for same-host pipes; configurable per executor (and scaled up by the
-#: cluster transport, whose workers respawn over TCP) via the
-#: ``live_wait_timeout`` parameter / ``EngineConfig(live_wait_timeout=)``.
+#: seconds a dispatch will wait for the monitor to bring a worker back
+#: before giving up — well past the default backoff ceiling, so the only
+#: way to hit it is a pool that genuinely cannot heal
 _LIVE_WAIT_TIMEOUT = 30.0
 
 
@@ -405,10 +402,6 @@ class ShardedExecutor:
         directory shared by every worker (spawned and respawned): each
         worker's plan cache warm-starts from it and writes fresh
         factorizations back.
-    live_wait_timeout:
-        Seconds a dispatch waits for a live worker (e.g. mid-respawn)
-        before failing with :class:`WorkerError`; ``None`` uses the
-        module default, tuned for same-host pipes.
     """
 
     def __init__(
@@ -419,7 +412,6 @@ class ShardedExecutor:
         restart_budget: int = 8,
         hang_timeout: Optional[float] = None,
         plan_store_dir=None,
-        live_wait_timeout: Optional[float] = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
@@ -431,13 +423,6 @@ class ShardedExecutor:
             raise ValueError(
                 f"hang_timeout must be > 0 or None, got {hang_timeout}"
             )
-        if live_wait_timeout is not None and live_wait_timeout <= 0:
-            raise ValueError(
-                f"live_wait_timeout must be > 0 or None, got {live_wait_timeout}"
-            )
-        self.live_wait_timeout = (
-            _LIVE_WAIT_TIMEOUT if live_wait_timeout is None else float(live_wait_timeout)
-        )
         self.num_workers = int(num_workers)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.faults = faults
@@ -599,7 +584,7 @@ class ShardedExecutor:
         when the pool is closed or exhausted (never deadlocks: a hard
         timeout backstops the wait).
         """
-        deadline = time.monotonic() + self.live_wait_timeout
+        deadline = time.monotonic() + _LIVE_WAIT_TIMEOUT
         with self._lock:
             while True:
                 if self._closed:
@@ -626,7 +611,7 @@ class ShardedExecutor:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise WorkerError(
-                        f"timed out after {self.live_wait_timeout:.1f}s "
+                        f"timed out after {_LIVE_WAIT_TIMEOUT:.1f}s "
                         "waiting for a live worker; "
                         f"ranks awaited: {self._rank_states_locked()}",
                         key=key,

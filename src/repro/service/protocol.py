@@ -75,8 +75,6 @@ __all__ = [
     "decode_telemetry",
     "spec_to_dict",
     "spec_from_dict",
-    "pack_meta_and_array",
-    "unpack_meta_and_array",
     "read_frame",
     "write_frame",
     "read_frame_async",
@@ -278,28 +276,6 @@ def _unpack_meta_and_array(payload: bytes) -> Tuple[dict, np.ndarray]:
         )
     array = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     return meta, array
-
-
-def pack_meta_and_array(meta: dict, array: np.ndarray) -> bytes:
-    """JSON *meta* + raw C-order bytes of *array* as one array payload.
-
-    The shared array-payload convention of this protocol (4-byte JSON
-    length, UTF-8 JSON, then the array bytes exactly as NumPy holds
-    them).  *meta* must carry ``array_shape`` / ``array_dtype`` for
-    :func:`unpack_meta_and_array` to rebuild the array — callers (the
-    service frames above, the cluster shard transport) add them.
-    """
-    return _pack_meta_and_array(meta, array)
-
-
-def unpack_meta_and_array(payload: bytes) -> Tuple[dict, np.ndarray]:
-    """Inverse of :func:`pack_meta_and_array`: ``(meta, array)``.
-
-    Validates the declared shape/dtype against the actual byte count —
-    a truncated or corrupt payload raises :class:`ProtocolError` rather
-    than yielding a silently wrong array.
-    """
-    return _unpack_meta_and_array(payload)
 
 
 def encode_request(req: Request) -> bytes:

@@ -46,7 +46,7 @@ class TestDecomposition:
             Decomposition(4, 2).split(np.zeros((5, 2)), axis=0)
 
     def test_more_ranks_than_items_yields_zero_width_blocks(self):
-        # Regression: this used to raise, crashing elastic fleets wider
+        # Regression: this used to raise, crashing worker pools wider
         # than a narrow batch.  Trailing ranks now get (extent, extent).
         d = Decomposition(2, 5)
         spans = [d.bounds(r) for r in range(5)]

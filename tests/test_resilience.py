@@ -192,9 +192,6 @@ class TestFaultPlan:
             "durable.store_write",
             "durable.store_read",
             "campaign.chunk",
-            "cluster.partition",
-            "cluster.node_kill",
-            "cluster.shard_slow",
         }
 
 

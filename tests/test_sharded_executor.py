@@ -221,9 +221,10 @@ def test_shutdown_unlinks_segments_and_keeps_final_snapshots():
     executor.shutdown()
 
 
-def test_engine_config_rejects_unknown_executor():
+@pytest.mark.parametrize("executor", ["fibers", "cluster"])
+def test_engine_config_rejects_unknown_executor(executor):
     with pytest.raises(ValueError):
-        EngineConfig(executor="fibers")
+        EngineConfig(executor=executor)
 
 
 def test_shared_block_pool_grow_and_close():
