@@ -14,9 +14,9 @@ puts in front of the solver stack:
   small solve requests into one contiguous ``(n, B)`` batch (flush on
   full batch or linger expiry), scattering results back per request;
 * :class:`~repro.runtime.engine.SolveEngine` — the bounded thread-pool
-  executor tying the two together, with backpressure (block / reject),
-  per-request deadlines, retry-once fallback, a synchronous
-  ``submit().result()`` API and a bulk ``map_batches`` API;
+  executor tying the two together, with an in-flight column budget that
+  blocks callers while full, per-request deadlines, retry-once fallback,
+  a synchronous ``submit().result()`` API and a bulk ``map_batches`` API;
 * :class:`~repro.runtime.sharded.ShardedExecutor` /
   :mod:`repro.runtime.shm` — the ``executor="processes"`` backend: a
   persistent worker-process pool that column-shards each batch through

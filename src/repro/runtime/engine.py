@@ -12,10 +12,10 @@ and right-hand sides; the engine
    into paper-scale ``(n, B)`` batches
    (:class:`~repro.runtime.coalescer.RequestCoalescer`), dispatching a
    batch when it fills or when the oldest request has lingered;
-3. runs batches on a bounded thread pool with backpressure (``"block"``
-   or ``"reject"`` when the in-flight column budget is exhausted),
-   per-request deadlines, and one retry that falls back to per-request
-   solves so a single poisoned right-hand side cannot fail a whole batch;
+3. runs batches on a bounded thread pool whose in-flight column budget
+   blocks callers while it is exhausted, with per-request deadlines and
+   one retry that falls back to per-request solves so a single poisoned
+   right-hand side cannot fail a whole batch;
 4. with ``executor="processes"``, column-shards every batch across a
    persistent :class:`~repro.runtime.sharded.ShardedExecutor` worker-
    process pool through shared memory, putting multiple cores behind a
@@ -26,8 +26,10 @@ On top of that sits the PR 5 resilience layer (:mod:`repro.runtime.resilience`):
 
 * every plan key flows through a :class:`~repro.runtime.resilience.circuit.PlanBreaker`
   — a key that keeps failing is short-circuited into a fast replica of
-  its last failure instead of burning a solve-plus-retries cycle per
-  request;
+  its last failure instead of burning a solve-plus-retry cycle per
+  request.  A batch counts as a failure of its key only when no member
+  succeeded, so one caller's poisoned columns, isolated by the retry,
+  never open the key for everyone else;
 * under ``executor="processes"`` the worker pool supervises itself: it
   respawns dead workers and requeues their in-flight shards
   (bitwise-identical results);
@@ -91,14 +93,18 @@ __all__ = [
     "EngineTimeoutError",
 ]
 
-_BACKPRESSURE_POLICIES = ("block", "reject")
 _EXECUTORS = ("threads", "processes")
+# Columns of each sampled batch that verification checks: the banded
+# residual product costs the same order as the solve itself, so a bounded,
+# evenly spaced sample keeps even ``verify_every=1`` cheap on paper-scale
+# batches.
+_VERIFY_COLS = 16
 
 _LOG = logging.getLogger("repro.runtime.engine")
 
 
 class BackpressureError(ReproError, RuntimeError):
-    """The engine's in-flight budget is exhausted and the policy rejects."""
+    """A bounded request queue is full (the service's dispatch queue)."""
 
 
 class EngineClosedError(ReproError, RuntimeError):
@@ -148,35 +154,17 @@ class EngineConfig:
         batch engages every worker past the GIL; results are bitwise
         identical to the thread path.
     max_queue:
-        In-flight column budget (buffered + solving, across all lanes);
-        beyond it the *backpressure* policy applies.
-    backpressure:
-        ``"block"`` — wait (up to *submit_timeout*) for capacity;
-        ``"reject"`` — raise :class:`BackpressureError` immediately.
-    submit_timeout:
-        Seconds a blocked ``submit`` waits before raising
-        :class:`BackpressureError`; ``None`` waits forever.
-    default_timeout:
-        Default per-request deadline in seconds (``None`` — no deadline).
-        Expired requests are dropped from their batch with
-        :class:`EngineTimeoutError` before any solve work is spent.
-    retries:
-        After a failed batched solve, how many per-request fallback
-        attempts each member gets (the batch itself is never re-run).
+        In-flight column budget (buffered + solving, across all lanes).
+        A ``submit`` or bulk block that would exceed it blocks until
+        capacity frees; one wider than the whole budget is admitted once
+        nothing else is in flight, and runs alone.
     verify_every:
         Sample every Nth solved batch through the backward-error check of
-        :class:`~repro.verify.residual.ResidualChecker` (0 — never).  A
-        failed check is routed through the poisoned-RHS retry path, where
-        each member is re-solved and re-verified individually so only the
-        culprit column(s) fail.
-    verify_cols:
-        Columns checked per sampled batch.  The banded residual product
-        costs the same order as the solve itself, so checking a bounded,
-        evenly-spaced sample keeps even ``verify_every=1`` cheap on
-        paper-scale batches.
-    verify_tol_factor:
-        Safety factor ``c`` of the condition-aware verification
-        tolerance ``c · κ₁ · ε(dtype)``.
+        :class:`~repro.verify.residual.ResidualChecker` (0 — never), on
+        at most 16 evenly spaced columns at the checker's default
+        tolerance.  A failed check is routed through the poisoned-RHS
+        retry path, where each member is re-solved and re-verified
+        individually so only the culprit column(s) fail.
     faults:
         Optional :class:`~repro.runtime.resilience.faults.FaultPlan` of
         seeded fault triggers; ``None`` (the default) also consults the
@@ -190,12 +178,6 @@ class EngineConfig:
         Seconds an in-flight shard may age before its worker is declared
         hung and terminated (``None`` — hang detection off).  Must exceed
         the worst honest shard solve time.
-    breaker_failures:
-        Consecutive failures that trip one plan key's circuit open.
-    breaker_reset:
-        Seconds an open circuit short-circuits before half-open probes.
-    breaker_probes:
-        Trial requests allowed through a half-open circuit.
     backend_ns:
         Name of the array backend (:func:`repro.backend.resolve_backend`)
         results are staged into: ``None`` consults ``REPRO_BACKEND`` and
@@ -212,9 +194,6 @@ class EngineConfig:
         back, so a restarted engine warm-starts with zero
         factorizations.  ``None`` consults the ``REPRO_PLAN_STORE``
         environment variable; empty/unset disables the store.
-    checkpoint_dir:
-        Default directory for :meth:`SolveEngine.solve_stream` campaign
-        checkpoints (``None`` — next to the campaign's output file).
     """
 
     max_batch: int = 256
@@ -222,22 +201,12 @@ class EngineConfig:
     num_workers: int = 2
     executor: str = "threads"
     max_queue: int = 65536
-    backpressure: str = "block"
-    submit_timeout: Optional[float] = None
-    default_timeout: Optional[float] = None
-    retries: int = 1
     verify_every: int = 0
-    verify_cols: int = 16
-    verify_tol_factor: float = 64.0
     faults: Optional[FaultPlan] = None
     restart_budget: int = 8
     hang_timeout: Optional[float] = None
-    breaker_failures: int = 5
-    breaker_reset: float = 30.0
-    breaker_probes: int = 1
     backend_ns: Optional[str] = None
     plan_store_dir: Optional[str] = None
-    checkpoint_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if (
@@ -261,21 +230,8 @@ class EngineConfig:
                 f"unknown executor {self.executor!r}; "
                 f"expected one of {_EXECUTORS}"
             )
-        if self.backpressure not in _BACKPRESSURE_POLICIES:
-            raise ValueError(
-                f"unknown backpressure policy {self.backpressure!r}; "
-                f"expected one of {_BACKPRESSURE_POLICIES}"
-            )
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.verify_every < 0:
             raise ValueError(f"verify_every must be >= 0, got {self.verify_every}")
-        if self.verify_cols < 1:
-            raise ValueError(f"verify_cols must be >= 1, got {self.verify_cols}")
-        if self.verify_tol_factor <= 0:
-            raise ValueError(
-                f"verify_tol_factor must be > 0, got {self.verify_tol_factor}"
-            )
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise TypeError(
                 f"faults must be a FaultPlan or None, got {type(self.faults).__name__}"
@@ -287,18 +243,6 @@ class EngineConfig:
         if self.hang_timeout is not None and self.hang_timeout <= 0:
             raise ValueError(
                 f"hang_timeout must be > 0 or None, got {self.hang_timeout}"
-            )
-        if self.breaker_failures < 1:
-            raise ValueError(
-                f"breaker_failures must be >= 1, got {self.breaker_failures}"
-            )
-        if self.breaker_reset <= 0:
-            raise ValueError(
-                f"breaker_reset must be > 0, got {self.breaker_reset}"
-            )
-        if self.breaker_probes < 1:
-            raise ValueError(
-                f"breaker_probes must be >= 1, got {self.breaker_probes}"
             )
 
 
@@ -322,22 +266,10 @@ class SolveEngine:
     config:
         An :class:`EngineConfig`; keyword overrides (``max_batch=...``)
         may be given instead of / on top of it.
-    plan_cache, telemetry:
-        Optionally share these across engines (e.g. one process-wide
-        plan cache under several differently-tuned engines).
-    breaker:
-        Optionally share one :class:`PlanBreaker` across engines (a plan
-        tripped anywhere stays tripped everywhere); by default each
-        engine builds its own from the ``breaker_*`` config fields.
     """
 
     def __init__(
-        self,
-        config: Optional[EngineConfig] = None,
-        plan_cache: Optional[PlanCache] = None,
-        telemetry: Optional[Telemetry] = None,
-        breaker: Optional[PlanBreaker] = None,
-        **overrides,
+        self, config: Optional[EngineConfig] = None, **overrides
     ) -> None:
         if overrides:
             base = config or EngineConfig()
@@ -361,7 +293,7 @@ class SolveEngine:
                 "arrays; use executor='threads' with backend_ns="
                 f"{self.config.backend_ns!r}"
             )
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self.telemetry = Telemetry()
         # The fault plan: explicit config wins, else the environment; the
         # common case is None, and every hook below is gated on that.
         self._faults = (
@@ -385,31 +317,10 @@ class SolveEngine:
                 telemetry=self.telemetry,
                 faults=self._faults,
             )
-        self.plan_cache = (
-            plan_cache
-            if plan_cache is not None
-            else PlanCache(
-                telemetry=self.telemetry,
-                faults=self._faults,
-                store=self.plan_store,
-            )
+        self.plan_cache = PlanCache(
+            telemetry=self.telemetry, faults=self._faults, store=self.plan_store
         )
-        if self.plan_cache.telemetry is None:
-            self.plan_cache.telemetry = self.telemetry
-        if self.plan_cache.faults is None and self._faults is not None:
-            self.plan_cache.faults = self._faults
-        if self.plan_cache.store is None and self.plan_store is not None:
-            self.plan_cache.store = self.plan_store
-        self.breaker = (
-            breaker
-            if breaker is not None
-            else PlanBreaker(
-                failures=self.config.breaker_failures,
-                reset_timeout=self.config.breaker_reset,
-                probes=self.config.breaker_probes,
-                telemetry=self.telemetry,
-            )
-        )
+        self.breaker = PlanBreaker(telemetry=self.telemetry)
         self._lanes: Dict[PlanKey, _Lane] = {}
         self._lanes_lock = threading.Lock()
         self._verify_lock = threading.Lock()
@@ -462,29 +373,18 @@ class SolveEngine:
     # -- capacity accounting --------------------------------------------
 
     def _acquire(self, cols: int) -> None:
-        deadline = (
-            time.perf_counter() + self.config.submit_timeout
-            if self.config.submit_timeout is not None
-            else None
-        )
+        """Block until *cols* more columns fit the in-flight budget.
+
+        A request wider than the whole budget could never fit; it is
+        admitted once nothing else is in flight, and so runs alone.
+        """
         with self._capacity:
-            while self._inflight_cols + cols > self.config.max_queue:
+            while (
+                self._inflight_cols
+                and self._inflight_cols + cols > self.config.max_queue
+            ):
                 self.telemetry.incr("engine.backpressure_events")
-                if self.config.backpressure == "reject":
-                    raise BackpressureError(
-                        f"in-flight budget exhausted: {self._inflight_cols} "
-                        f"columns queued, {cols} requested, "
-                        f"max_queue={self.config.max_queue}"
-                    )
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        raise BackpressureError(
-                            f"blocked submit timed out after "
-                            f"{self.config.submit_timeout}s waiting for capacity"
-                        )
-                self._capacity.wait(timeout=remaining)
+                self._capacity.wait()
             self._inflight_cols += cols
             self.telemetry.observe("engine.queue_depth_cols", self._inflight_cols)
 
@@ -596,9 +496,7 @@ class SolveEngine:
         from repro.verify.residual import ResidualChecker
 
         try:
-            checker = ResidualChecker(
-                builder, tol_factor=self.config.verify_tol_factor
-            )
+            checker = ResidualChecker(builder)
         except TypeError:
             checker = None
             self.telemetry.incr("verify.unsupported")
@@ -607,8 +505,8 @@ class SolveEngine:
         return checker
 
     def _sample_cols(self, cols: int) -> np.ndarray:
-        """Evenly spaced column sample, at most ``verify_cols`` wide."""
-        take = min(self.config.verify_cols, cols)
+        """Evenly spaced column sample, at most ``_VERIFY_COLS`` wide."""
+        take = min(_VERIFY_COLS, cols)
         if take == cols:
             return np.arange(cols)
         return np.linspace(0, cols - 1, take).astype(int)
@@ -752,13 +650,12 @@ class SolveEngine:
                 batch.fail(exc)
             else:
                 self.telemetry.incr("engine.batch_failures")
-                failed = self._retry_individually(
-                    key, batch, exc, checker=checker
-                )
-                if failed:
-                    self.breaker.record_failure(key, exc)
-                else:
+                # The retry isolates a poisoned member; the key failed
+                # only when the retry rescued no member at all.
+                if self._retry_individually(key, batch, checker=checker):
                     self.breaker.record_success(key)
+                else:
+                    self.breaker.record_failure(key, exc)
         finally:
             if lease is not None:
                 self._sharded.release(lease)
@@ -773,62 +670,55 @@ class SolveEngine:
                 self._release(req.cols)
 
     def _retry_individually(
-        self, key: PlanKey, batch: CoalescedBatch, batch_exc: Exception,
-        checker=None,
+        self, key: PlanKey, batch: CoalescedBatch, checker=None
     ) -> int:
         """A failed batch falls back to local per-request solves (retry-once).
 
         When the batch failed its sampled verification (*checker* given),
         every fallback solve is re-verified over *all* of its columns, so
         a single poisoned right-hand side fails alone while its
-        batch-mates complete normally.  Returns how many requests still
-        failed; each of those lands in the quarantine ledger
-        (``engine.quarantined`` + the ``engine.quarantine`` event ring)
-        with a bounded fingerprint of its right-hand side.
+        batch-mates complete normally.  Returns how many requests the
+        retry rescued; each request it could not rescue lands in the
+        quarantine ledger (``engine.quarantined`` + the
+        ``engine.quarantine`` event ring) with a bounded fingerprint of
+        its right-hand side.
         """
-        failed = 0
+        rescued = 0
         for req in batch.requests:
             if not req.future.set_running_or_notify_cancel():
                 continue
-            outcome: Optional[BaseException] = batch_exc
-            for _ in range(self.config.retries):
-                self.telemetry.incr("engine.request_retries")
-                try:
-                    builder = self.plan_cache.builder(key)
-                    work = np.array(
-                        req.rhs if req.rhs.ndim == 2 else req.rhs[:, None],
-                        dtype=builder.dtype,
-                        copy=True,
-                        order="C",
-                    )
-                    builder.solve(work, in_place=True)
-                    if checker is not None:
-                        self._verify_sample(checker, work, req.rhs)
-                    req.future.set_result(
-                        work[:, 0] if req.rhs.ndim == 1 else work
-                    )
-                    self.telemetry.incr("engine.requests_completed")
-                    self._tenant_incr(req.tenant, "requests_completed")
-                    outcome = None
-                    break
-                except Exception as exc:  # noqa: BLE001
-                    outcome = exc
-            if outcome is not None:
-                failed += 1
+            self.telemetry.incr("engine.request_retries")
+            try:
+                builder = self.plan_cache.builder(key)
+                work = np.array(
+                    req.rhs if req.rhs.ndim == 2 else req.rhs[:, None],
+                    dtype=builder.dtype,
+                    copy=True,
+                    order="C",
+                )
+                builder.solve(work, in_place=True)
+                if checker is not None:
+                    self._verify_sample(checker, work, req.rhs)
+            except Exception as exc:  # noqa: BLE001
                 self.telemetry.incr("engine.requests_failed")
                 self._tenant_incr(req.tenant, "requests_failed")
-                if req.tenant is not None and hasattr(outcome, "tenant"):
+                if req.tenant is not None and hasattr(exc, "tenant"):
                     # Attribute the failure to its originator so the
                     # error names the tenant wherever it surfaces
                     # (WorkerError carries the slot; see its __reduce__).
-                    if getattr(outcome, "tenant", None) is None:
+                    if getattr(exc, "tenant", None) is None:
                         try:
-                            outcome.tenant = req.tenant
+                            exc.tenant = req.tenant
                         except AttributeError:  # pragma: no cover - frozen exc
                             pass
-                self._quarantine(req, outcome)
-                req.future.set_exception(outcome)
-        return failed
+                self._quarantine(req, exc)
+                req.future.set_exception(exc)
+                continue
+            req.future.set_result(work[:, 0] if req.rhs.ndim == 1 else work)
+            self.telemetry.incr("engine.requests_completed")
+            self._tenant_incr(req.tenant, "requests_completed")
+            rescued += 1
+        return rescued
 
     def _quarantine(self, req: SolveRequest, exc: BaseException) -> None:
         """Ledger one permanently failed request: counter + bounded ring.
@@ -923,16 +813,11 @@ class SolveEngine:
                 f"right-hand side leading extent {rhs.shape[0]} does not "
                 f"match the {builder.n} basis functions of {spec}"
             )
-        timeout = timeout if timeout is not None else self.config.default_timeout
         deadline = time.perf_counter() + timeout if timeout is not None else None
         request = SolveRequest(
             rhs, deadline=deadline, tenant=tenant, priority=priority
         )
-        try:
-            self._acquire(request.cols)
-        except BackpressureError:
-            self._tenant_incr(tenant, "requests_rejected")
-            raise
+        self._acquire(request.cols)
         self.telemetry.incr("engine.requests_submitted")
         self._tenant_incr(tenant, "requests_submitted")
         lane = self._lane(key, builder.n)
@@ -1070,16 +955,10 @@ class SolveEngine:
         *out_path*, with a :class:`~repro.runtime.durable.CampaignState`
         checkpoint making the campaign resumable bitwise-identically.
         When *state_path* is omitted the checkpoint lives next to
-        *out_path*, or under ``config.checkpoint_dir`` when that is set.
+        *out_path*.
         """
         from repro.runtime.durable import run_campaign
 
-        if state_path is None and self.config.checkpoint_dir is not None:
-            os.makedirs(self.config.checkpoint_dir, exist_ok=True)
-            state_path = os.path.join(
-                self.config.checkpoint_dir,
-                os.path.basename(os.fspath(out_path)) + ".campaign.json",
-            )
         return run_campaign(
             self,
             spec,

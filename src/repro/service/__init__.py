@@ -3,10 +3,9 @@
 Layer on top of the runtime engine: a compact binary wire protocol
 (:mod:`~repro.service.protocol`), an asyncio TCP server with per-tenant
 admission control and fair-share dispatch (:mod:`~repro.service.server`,
-:mod:`~repro.service.admission`), sync/async clients with hedged sends
-(:mod:`~repro.service.client`), and a multi-tenant load generator
-(:mod:`~repro.service.loadgen`, runnable as
-``python -m repro.service.bench``).
+:mod:`~repro.service.admission`), and a client with hedged sends and
+throttle retries (:mod:`~repro.service.client`) whose futures asyncio
+callers await through ``asyncio.wrap_future``.
 
 Quick start::
 
@@ -27,7 +26,7 @@ from repro.service.admission import (
     ThrottledError,
     TokenBucket,
 )
-from repro.service.client import AsyncServiceClient, ServiceClient, ServiceError
+from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import ErrorInfo, FrameType, ProtocolError, Request
 from repro.service.server import ServiceConfig, ServiceThread, SolveService, serve
 
@@ -38,7 +37,6 @@ __all__ = [
     "TenantQuota",
     "ThrottledError",
     "TokenBucket",
-    "AsyncServiceClient",
     "ServiceClient",
     "ServiceError",
     "ErrorInfo",

@@ -13,12 +13,12 @@ tenants apart.  This module adds the *who* dimension in three pieces:
     therefore throttled to its quota no matter how fast it sends.
 
 :class:`FairShareQueue`
-    Deficit-weighted round-robin (DWRR) dispatch ordering across the
-    *admitted* requests.  Priority classes are strict — every queued
+    Deficit round-robin (DRR) dispatch ordering across the *admitted*
+    requests.  Priority classes are strict — every queued
     ``interactive`` request dispatches before any ``normal``, which beats
     any ``batch`` — and within a class each tenant accumulates deficit
-    (``quantum × weight`` columns per round-robin turn) and may dispatch
-    requests while its deficit covers their column cost.  Cost-aware
+    (``quantum`` columns per round-robin turn) and may dispatch requests
+    while its deficit covers their column cost.  Cost-aware
     deficits are what make one tenant's *wide* requests count against it:
     fairness is in columns, the unit the engine's batches are made of.
 
@@ -127,22 +127,17 @@ class TenantQuota:
 
     ``rate``/``burst`` are in *columns* per second / columns — the unit
     of engine work — so a tenant sending wide blocks spends its quota
-    exactly as fast as one sending many single columns.  ``weight``
-    scales the tenant's DWRR deficit refill: weight 2 earns twice the
-    batch share of weight 1 when both are backlogged.
+    exactly as fast as one sending many single columns.
     """
 
     rate: float = 10_000.0
     burst: float = 20_000.0
-    weight: float = 1.0
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
         if self.burst <= 0:
             raise ValueError(f"burst must be > 0, got {self.burst}")
-        if self.weight <= 0:
-            raise ValueError(f"weight must be > 0, got {self.weight}")
 
 
 class AdmissionController:
@@ -219,7 +214,7 @@ class AdmissionController:
 
 
 class FairShareQueue:
-    """Strict-priority, deficit-weighted-round-robin dispatch queue.
+    """Strict-priority, deficit-round-robin dispatch queue.
 
     Items are pushed with ``(tenant, priority, cost)`` and popped in the
     order the service should hand them to the engine:
@@ -227,9 +222,9 @@ class FairShareQueue:
     1. priority classes are strict — any queued item of a higher class
        (lower :data:`PRIORITIES` rank) dispatches first;
     2. within a class, tenants are served round-robin; each visit tops a
-       tenant's deficit up by ``quantum × weight`` columns, and the
-       tenant dispatches queued items (FIFO) while the deficit covers
-       their cost.  Deficit persists across turns — a wide request is
+       tenant's deficit up by ``quantum`` columns, and the tenant
+       dispatches queued items (FIFO) while the deficit covers their
+       cost.  Deficit persists across turns — a wide request is
        eventually affordable — and resets when the tenant's queue
        empties, so idle tenants cannot bank credit.
 
@@ -237,15 +232,10 @@ class FairShareQueue:
     (the sync tests drive it directly).
     """
 
-    def __init__(
-        self,
-        quantum: float = 64.0,
-        weights: Optional[Dict[str, float]] = None,
-    ) -> None:
+    def __init__(self, quantum: float = 64.0) -> None:
         if quantum <= 0:
             raise ValueError(f"quantum must be > 0, got {quantum}")
         self.quantum = float(quantum)
-        self.weights = dict(weights or {})
         # class rank -> (ring of tenant keys, tenant -> FIFO of (cost, item))
         self._classes: Dict[int, Tuple[Deque[str], "OrderedDict[str, Deque]"]] = {}
         self._deficits: Dict[Tuple[int, str], float] = {}
@@ -286,21 +276,18 @@ class FairShareQueue:
             ring, queues = self._classes[rank]
             if not ring:
                 continue
-            # DWRR: arriving at the ring head earns one quantum×weight
-            # top-up; the tenant then drains FIFO while the deficit
+            # DRR: arriving at the ring head earns one quantum top-up;
+            # the tenant then drains FIFO while the deficit
             # covers head costs (it stays "visiting" across pop calls,
             # with no further refill) and rotates away when it cannot
-            # afford its next item.  A cost above quantum×weight just
+            # afford its next item.  A cost above the quantum just
             # takes several arrivals — deficit persists across turns.
             while True:
                 tenant = ring[0]
                 queue = queues[tenant]
                 key = (rank, tenant)
                 if self._visiting.get(rank) != tenant:
-                    weight = self.weights.get(tenant, 1.0)
-                    self._deficits[key] = (
-                        self._deficits.get(key, 0.0) + self.quantum * weight
-                    )
+                    self._deficits[key] = self._deficits.get(key, 0.0) + self.quantum
                     self._visiting[rank] = tenant
                 cost, item = queue[0]
                 if self._deficits[key] >= cost:

@@ -1,20 +1,22 @@
-"""Clients for the solve service — sync and asyncio, with hedged sends.
+"""The solve service's client, with hedged sends and throttle retries.
 
-Both clients multiplex one TCP connection: requests carry unique wire
-ids, responses arrive in any order, and a reader (thread or task)
-resolves the matching future.  Connection reuse is therefore free —
-issue as many concurrent ``submit()`` calls as you like on one client.
+The client multiplexes one TCP connection: requests carry unique wire
+ids, responses arrive in any order, and a reader thread resolves the
+matching :class:`concurrent.futures.Future`.  Connection reuse is
+therefore free — make as many concurrent ``submit()`` calls as you like
+on one client.  An asyncio caller awaits a solve with
+``await asyncio.wrap_future(client.submit(...))``.
 
-**Hedging** (sync client): a request still unanswered after a hedge
-delay is *re-sent* under a fresh wire id; whichever copy answers first
-wins and the loser is cancelled with a CANCEL frame.  The delay defaults
+**Hedging**: a request still unanswered after a hedge delay is
+*re-sent* under a fresh wire id; whichever copy answers first wins and
+the loser is cancelled with a CANCEL frame.  The delay defaults
 to an empirical p99 of recent request latencies (so only genuine
 stragglers hedge), or can be fixed via ``hedge_delay``.  Solves are pure
 — the loser at worst burns duplicate compute, never duplicate side
 effects — which is what makes hedging safe here.  ``stats()`` reports
 ``hedges`` (sent) and ``hedge_wins`` (the duplicate answered first).
 
-**Throttle retries** (sync client): a ``THROTTLED`` rejection that
+**Throttle retries**: a ``THROTTLED`` rejection that
 carries the server's ``retry_after`` hint is retried automatically —
 the delay grows exponentially from the hint (capped), with a little
 seeded jitter so a herd of throttled clients does not re-converge on
@@ -30,7 +32,6 @@ throttles, a ``retry_after`` hint.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import random
 import socket
@@ -46,7 +47,7 @@ from repro.core.spec import BSplineSpec
 from repro.exceptions import ReproError
 from repro.service import protocol
 
-__all__ = ["ServiceError", "ServiceClient", "AsyncServiceClient"]
+__all__ = ["ServiceError", "ServiceClient"]
 
 #: below this many latency samples the empirical hedge delay is unknown
 #: and hedging stays off (unless a fixed ``hedge_delay`` was given)
@@ -442,143 +443,9 @@ class ServiceClient:
                         future = self._pong.popleft() if self._pong else None
                     if future is not None and not future.done():
                         future.set_result(True)
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
+        except (ConnectionError, OSError):
             pass
         except protocol.ProtocolError:
             pass
         finally:
             self._fail_all(ConnectionError("connection to service lost"))
-
-
-class AsyncServiceClient:
-    """Asyncio client: same wire protocol, natively awaitable.
-
-    Hedging is intentionally left to the sync client — asyncio callers
-    typically own their own concurrency structure (``asyncio.wait`` with
-    shields and timeouts composes better than a built-in policy would).
-    """
-
-    def __init__(self, host: str, port: int, timeout: Optional[float] = None):
-        self.host = host
-        self.port = port
-        self.default_timeout = timeout
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._ids = itertools.count(1)
-        self._pending: Dict[int, asyncio.Future] = {}
-        self._telemetry: Deque[asyncio.Future] = deque()
-        self._reader_task: Optional[asyncio.Task] = None
-        self._wlock: Optional[asyncio.Lock] = None
-
-    async def connect(self) -> "AsyncServiceClient":
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
-        )
-        self._wlock = asyncio.Lock()
-        self._reader_task = asyncio.ensure_future(self._read_loop())
-        return self
-
-    async def __aenter__(self) -> "AsyncServiceClient":
-        return await self.connect()
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.close()
-
-    async def submit(
-        self,
-        spec: BSplineSpec,
-        rhs: np.ndarray,
-        *,
-        version: int = 2,
-        dtype: str = "float64",
-        backend: str = "vectorized",
-        tenant: str = "anonymous",
-        priority: str = "normal",
-        timeout: Optional[float] = None,
-    ) -> np.ndarray:
-        """Send one solve and await its coefficients."""
-        if self._writer is None:
-            raise RuntimeError("call connect() first")
-        wire_id = next(self._ids)
-        request = protocol.Request(
-            id=wire_id,
-            spec=spec,
-            rhs=np.asarray(rhs),
-            version=version,
-            dtype=str(np.dtype(dtype)),
-            backend=backend,
-            tenant=tenant,
-            priority=priority,
-            deadline=timeout if timeout is not None else self.default_timeout,
-        )
-        future = asyncio.get_running_loop().create_future()
-        self._pending[wire_id] = future
-        async with self._wlock:
-            self._writer.write(protocol.encode_request(request))
-            await self._writer.drain()
-        return await future
-
-    async def telemetry(self) -> dict:
-        future = asyncio.get_running_loop().create_future()
-        self._telemetry.append(future)
-        async with self._wlock:
-            self._writer.write(
-                protocol.encode_frame(protocol.FrameType.TELEMETRY_REQ, b"")
-            )
-            await self._writer.drain()
-        return await future
-
-    async def close(self) -> None:
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        self._fail_all(ConnectionError("client closed"))
-
-    def _fail_all(self, exc: BaseException) -> None:
-        for future in list(self._pending.values()):
-            if not future.done():
-                future.set_exception(exc)
-        self._pending.clear()
-        while self._telemetry:
-            future = self._telemetry.popleft()
-            if not future.done():
-                future.set_exception(exc)
-
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                ftype, _flags, payload = await protocol.read_frame_async(
-                    self._reader
-                )
-                if ftype == protocol.FrameType.RESULT:
-                    res = protocol.decode_result(payload)
-                    future = self._pending.pop(res.id, None)
-                    if future is not None and not future.done():
-                        future.set_result(res.coeffs)
-                elif ftype == protocol.FrameType.ERROR:
-                    info = protocol.decode_error(payload)
-                    if info.id is None:
-                        self._fail_all(ServiceError(info))
-                    else:
-                        future = self._pending.pop(info.id, None)
-                        if future is not None and not future.done():
-                            future.set_exception(ServiceError(info))
-                elif ftype == protocol.FrameType.TELEMETRY:
-                    snap = protocol.decode_telemetry(payload)
-                    if self._telemetry:
-                        future = self._telemetry.popleft()
-                        if not future.done():
-                            future.set_result(snap)
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            self._fail_all(ConnectionError("connection to service lost"))
-        except asyncio.CancelledError:
-            raise

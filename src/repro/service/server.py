@@ -11,11 +11,11 @@ and serves the :mod:`repro.service.protocol` framing over TCP:
   ``THROTTLED`` error frame and a ``retry_after`` hint, costing the
   engine nothing), then queues in a :class:`~repro.service.admission.
   FairShareQueue` so dispatch order honours priority classes and
-  deficit-weighted tenant fair share;
+  deficit round-robin fair share across tenants;
 * a single dispatcher task pops the fair-share queue and bridges onto
   ``engine.submit()`` via the service's own thread pool — ``submit()``
-  can block under ``backpressure="block"`` and must stall neither the
-  loop nor the loop's shared default executor — then chains the
+  blocks while the engine's in-flight budget is full and must stall
+  neither the loop nor the loop's shared default executor — then chains the
   returned :class:`concurrent.futures.Future` back into the loop with
   ``asyncio.wrap_future``;
 * responses carry the request's wire id, which is client-chosen and
@@ -27,8 +27,8 @@ and serves the :mod:`repro.service.protocol` framing over TCP:
   then close the engine (when the service owns it).
 
 :class:`ServiceThread` hosts a service on a background thread with its
-own event loop — the sync client, the load generator and the tests all
-use it so they can stay synchronous.
+own event loop — ``serve()``, the benchmarks and the tests all use it so
+they can stay synchronous.
 """
 
 from __future__ import annotations
@@ -84,18 +84,10 @@ class ServiceConfig:
     max_payload: int = 64 << 20
     #: threads in the service's own dispatch pool bridging the (possibly
     #: blocking) ``engine.submit()`` calls — the asyncio *default*
-    #: executor is deliberately not used, so parked submits under
-    #: ``backpressure="block"`` cannot starve other users of the loop
+    #: executor is deliberately not used, so submits parked on a full
+    #: engine cannot starve other users of the loop
     dispatch_workers: int = 32
     admission: Optional[AdmissionController] = None
-    #: durable plan-store directory: when the service builds its own
-    #: engine the store backs every plan cache (engine + sharded
-    #: workers) and the engine warm-starts from it on boot, so a
-    #: restarted service performs zero re-factorizations
-    plan_store_dir: Optional[str] = None
-    #: default directory for out-of-core campaign checkpoints run
-    #: against this service's engine (``engine.solve_stream``)
-    checkpoint_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.admission is None:
@@ -399,7 +391,7 @@ class SolveService:
     ) -> None:
         request = pending.request
         try:
-            # submit() may block (backpressure="block"), so keep it off
+            # submit() blocks while the engine is full, so keep it off
             # the event loop — on the service's own pool, not the loop's
             # default executor, so parked submits cannot starve other
             # default-executor users or cap dispatch below intent.
@@ -475,7 +467,7 @@ class ServiceThread:
 
     The synchronous world's handle on the service: ``start()`` blocks
     until the port is bound, ``stop()`` until the drain completes.  Used
-    by the sync client tests, the load generator, and ``repro serve``.
+    by the client tests, the ``serve`` benchmark, and ``repro serve``.
     """
 
     def __init__(
@@ -554,37 +546,15 @@ class ServiceThread:
         self.stop()
 
 
-def serve(
-    host: str = "127.0.0.1",
-    port: int = 8157,
-    engine: Optional[SolveEngine] = None,
-    plan_store_dir: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None,
-    **engine_kwargs,
-) -> None:
+def serve(host: str = "127.0.0.1", port: int = 8157) -> None:
     """Run a solve service until interrupted (``python -m repro serve``).
 
-    *plan_store_dir* (also read from ``REPRO_PLAN_STORE`` by the engine)
-    makes the boot durable: plans load from disk instead of being
-    refactorized, and new factorizations are written back for the next
-    restart.
+    The engine reads ``REPRO_PLAN_STORE``: with a store configured the
+    boot loads plans from disk instead of refactorizing them, and new
+    factorizations are written back for the next restart.
     """
-    own = engine is None
-    if engine is None:
-        if plan_store_dir is not None:
-            engine_kwargs.setdefault("plan_store_dir", plan_store_dir)
-        if checkpoint_dir is not None:
-            engine_kwargs.setdefault("checkpoint_dir", checkpoint_dir)
-        engine = SolveEngine(**engine_kwargs)
     hosted = ServiceThread(
-        engine,
-        ServiceConfig(
-            host=host,
-            port=port,
-            plan_store_dir=plan_store_dir,
-            checkpoint_dir=checkpoint_dir,
-        ),
-        own_engine=own,
+        SolveEngine(), ServiceConfig(host=host, port=port), own_engine=True
     )
     hosted.start()
     print(f"repro solve service listening on {hosted.host}:{hosted.port}")

@@ -631,18 +631,28 @@ class TestCampaign:
         with pytest.raises(DurableStoreError):
             CampaignState.load(path)
 
-    def test_checkpoint_dir_routes_state_files(self, tmp_path):
+    def test_solve_stream_resumes_from_its_state_path(self, tmp_path):
+        """``solve_stream`` checkpoints next to its output unless given an
+        explicit ``state_path``; a rerun resumes from that checkpoint."""
         data = _campaign_data(cols=90)
-        ckpt = tmp_path / "ckpts"
-        config = EngineConfig(checkpoint_dir=str(ckpt))
-        with SolveEngine(config=config, max_batch=4096) as engine:
-            result = engine.solve_stream(
-                CAMPAIGN_SPEC,
-                ArrayRHS(data),
-                tmp_path / "out.npy",
-                chunk_cols=30,
-            )
-        assert (ckpt / "out.npy.campaign.json").exists()
-        np.testing.assert_array_equal(
-            np.asarray(result), self._reference(data)
-        )
+        expected = self._reference(data)
+        explicit = tmp_path / "ckpts" / "run.json"
+        explicit.parent.mkdir()
+        for out, state_path, checkpoint in (
+            (tmp_path / "a.npy", None, tmp_path / "a.npy.campaign.json"),
+            (tmp_path / "b.npy", explicit, explicit),
+        ):
+            with SolveEngine(max_batch=4096) as engine:
+                for _ in range(2):
+                    result = engine.solve_stream(
+                        CAMPAIGN_SPEC,
+                        ArrayRHS(data),
+                        out,
+                        chunk_cols=30,
+                        state_path=state_path,
+                    )
+                assert engine.telemetry.counter("campaign.resumes") == 1
+                assert engine.telemetry.counter("campaign.chunks_skipped") == 3
+            assert checkpoint.exists()
+            np.testing.assert_array_equal(np.asarray(result), expected)
+        assert not (tmp_path / "b.npy.campaign.json").exists()

@@ -380,13 +380,11 @@ class TestEngineFaults:
                 )
             ]
         )
-        with SolveEngine(
-            faults=plan, breaker_failures=2, max_batch=8
-        ) as engine:
-            for _ in range(2):
+        with SolveEngine(faults=plan, max_batch=8) as engine:
+            for _ in range(5):  # PlanBreaker's default trip count
                 with pytest.raises(SingularMatrixError):
                     engine.submit(SPEC, _rhs(1)[:, 0])
-            # The circuit is open now: the third submit fails fast with a
+            # The circuit is open now: the sixth submit fails fast with a
             # replica of the factorization error, before factoring again.
             fired_before = plan.fired("plan_cache.factorize")
             with pytest.raises(SingularMatrixError) as info:
@@ -406,9 +404,7 @@ class TestEngineFaults:
         rhs = _rhs(4, seed=5)
         with SolveEngine(max_batch=8, verify_every=1) as baseline:
             expected = baseline.solve(SPEC, rhs)
-        with SolveEngine(
-            faults=plan, max_batch=8, verify_every=1, retries=1
-        ) as engine:
+        with SolveEngine(faults=plan, max_batch=8, verify_every=1) as engine:
             out = engine.solve(SPEC, rhs)
             counters = engine.telemetry.snapshot()["counters"]
         np.testing.assert_array_equal(out, expected)
@@ -417,11 +413,10 @@ class TestEngineFaults:
         assert counters["engine.requests_completed"] >= 1
 
     def test_corrupted_rhs_lands_in_quarantine_ledger(self):
-        plan = FaultPlan([FaultSpec(site="engine.rhs", kind="corrupt")])
-        with SolveEngine(
-            faults=plan, max_batch=4, verify_every=1, retries=0
-        ) as engine:
-            fut = engine.submit(SPEC, _rhs(1)[:, 0])
+        rhs = _rhs(1)[:, 0]
+        rhs[N // 2] = np.nan  # fails the batch check and its retry alike
+        with SolveEngine(max_batch=4, verify_every=1) as engine:
+            fut = engine.submit(SPEC, rhs)
             with pytest.raises(VerificationError):
                 fut.result(timeout=30)
             snap = engine.telemetry.snapshot()
@@ -445,7 +440,7 @@ class TestEngineFaults:
         )
         monkeypatch.setenv(ENV_VAR, plan.to_json())
         rhs = _rhs(3, seed=9)
-        with SolveEngine(max_batch=8, retries=1) as engine:
+        with SolveEngine(max_batch=8) as engine:
             assert engine._faults is not None
             out = engine.solve(SPEC, rhs)
             counters = engine.telemetry.snapshot()["counters"]

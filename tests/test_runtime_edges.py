@@ -152,7 +152,7 @@ def test_whole_batch_expired_skips_verification(rng):
 def test_poisoned_column_quarantined_by_verification(rng):
     """A NaN right-hand side fails alone; batch-mates complete normally."""
     with SolveEngine(
-        EngineConfig(max_batch=4, max_linger=1e-3, verify_every=1, verify_cols=64)
+        EngineConfig(max_batch=4, max_linger=1e-3, verify_every=1)
     ) as engine:
         good = [engine.submit(SPEC, rng.standard_normal(N)) for _ in range(3)]
         poisoned = rng.standard_normal(N)

@@ -20,7 +20,6 @@ from repro.core.builder.builder2d import SplineBuilder2D
 from repro.core.spec import BSplineSpec
 from repro.exceptions import ShapeError
 from repro.runtime import (
-    BackpressureError,
     CoalescedBatch,
     EngineClosedError,
     EngineConfig,
@@ -287,7 +286,7 @@ class TestEngine:
         with pytest.raises(TypeError):
             SolveEngine(bogus_field=1)
         with pytest.raises(ValueError):
-            EngineConfig(backpressure="drop")
+            EngineConfig(max_queue=0)
         with pytest.raises(ValueError):
             EngineConfig(max_batch=0)
 
@@ -306,45 +305,9 @@ def _engine_with_stalled_lane(**config):
 
 
 class TestBackpressureAndTimeouts:
-    def test_reject_policy_raises_when_budget_exhausted(self):
-        engine, stalling = _engine_with_stalled_lane(
-            max_batch=1, max_queue=2, backpressure="reject", num_workers=1
-        )
-        try:
-            futures = [engine.submit(SPEC, r) for r in make_rhs(2)]
-            with pytest.raises(BackpressureError):
-                engine.submit(SPEC, make_rhs(1)[0])
-            assert engine.telemetry.counter("engine.backpressure_events") >= 1
-            stalling.release.set()
-            for f in futures:
-                f.result(timeout=10)
-        finally:
-            stalling.release.set()
-            engine.shutdown()
-
-    def test_block_policy_times_out_submit(self):
-        engine, stalling = _engine_with_stalled_lane(
-            max_batch=1,
-            max_queue=1,
-            backpressure="block",
-            submit_timeout=0.05,
-            num_workers=1,
-        )
-        try:
-            fut = engine.submit(SPEC, make_rhs(1)[0])
-            t0 = time.perf_counter()
-            with pytest.raises(BackpressureError):
-                engine.submit(SPEC, make_rhs(1)[0])
-            assert time.perf_counter() - t0 >= 0.05
-            stalling.release.set()
-            fut.result(timeout=10)
-        finally:
-            stalling.release.set()
-            engine.shutdown()
-
     def test_block_policy_proceeds_once_capacity_frees(self):
         engine, stalling = _engine_with_stalled_lane(
-            max_batch=1, max_queue=1, backpressure="block", num_workers=1
+            max_batch=1, max_queue=1, num_workers=1
         )
         try:
             first = engine.submit(SPEC, make_rhs(1)[0])
@@ -356,6 +319,27 @@ class TestBackpressureAndTimeouts:
         finally:
             stalling.release.set()
             engine.shutdown()
+
+    def test_request_wider_than_budget_runs_on_idle_engine(self):
+        """A block or request wider than ``max_queue`` could never fit the
+        budget; on an idle engine it is admitted and runs alone instead
+        of waiting forever.  Each call runs on a thread joined with a
+        timeout, so a regression fails rather than hangs."""
+        block = make_rhs(1, cols=5, seed=3)[0]
+        expected = SplineBuilder(SPEC).solve(block)
+        with SolveEngine(max_queue=4, max_linger=1e-3) as engine:
+            for call in (
+                lambda: engine.map_batches(SPEC, [block])[0],
+                lambda: engine.submit(SPEC, block).result(timeout=10),
+            ):
+                out = []
+                worker = threading.Thread(
+                    target=lambda: out.append(call()), daemon=True
+                )
+                worker.start()
+                worker.join(timeout=10)
+                assert not worker.is_alive(), "over-budget request never ran"
+                assert np.array_equal(out[0], expected)
 
     def test_expired_request_gets_timeout_error(self):
         engine, stalling = _engine_with_stalled_lane(max_batch=1, num_workers=1)

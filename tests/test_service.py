@@ -4,9 +4,10 @@ The end-to-end contract is *bitwise* parity: coefficients fetched through
 the TCP client must equal ``SolveEngine.submit()``'s exactly, for every
 solver version, dtype and executor — the wire carries raw C-order array
 bytes, so nothing may round-trip through text.  Around that core:
-admission control (token buckets, deficit-weighted fair share), hedged
-sends (first ack wins, loser cancelled), graceful drain, and the
-per-tenant telemetry the service feeds.
+admission control (token buckets, deficit round-robin fair share), hedged
+sends (first ack wins, loser cancelled), graceful drain, one tenant's
+poisoned columns staying that tenant's problem, and the per-tenant
+telemetry the service feeds.
 """
 
 from __future__ import annotations
@@ -22,14 +23,16 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.builder.builder import SplineBuilder
 from repro.core.spec import BSplineSpec
+from repro.exceptions import VerificationError
 from repro.runtime.engine import EngineConfig, SolveEngine
+from repro.runtime.plan_cache import PlanKey
 from repro.runtime.resilience.faults import FaultPlan, FaultSpec
 from repro.runtime.sharded import WorkerError
 from repro.runtime.telemetry import Telemetry, render_tenant_table
 from repro.service import (
     AdmissionController,
-    AsyncServiceClient,
     FairShareQueue,
     QuotaExceededError,
     ServiceClient,
@@ -42,7 +45,6 @@ from repro.service import (
 )
 from repro.service import protocol
 from repro.service import server as server_mod
-from repro.service.loadgen import zipf_tenants
 
 SPEC = BSplineSpec(degree=3, n_points=24)
 N = 24
@@ -249,17 +251,6 @@ class TestFairShareQueue:
         # alice queued first but bob is interleaved, not starved
         assert q.drain() == ["a0", "b0", "a1", "a2"]
 
-    def test_weighted_share_in_columns(self):
-        q = FairShareQueue(quantum=2, weights={"gold": 2.0})
-        for i in range(8):
-            q.push(("gold", i), "gold", "normal", 2)
-            q.push(("iron", i), "iron", "normal", 2)
-        first8 = [q.pop() for _ in range(8)]
-        gold = sum(1 for tenant, _ in first8 if tenant == "gold")
-        iron = sum(1 for tenant, _ in first8 if tenant == "iron")
-        # deficit refills 4 vs 2 columns per turn: gold drains ~2x faster
-        assert gold > iron
-
     def test_wide_request_eventually_dispatches(self):
         q = FairShareQueue(quantum=2)
         q.push("wide", "a", "normal", 10)  # 5 turns of deficit needed
@@ -278,14 +269,6 @@ class TestFairShareQueue:
         for i in range(5):
             q.push(i, "only", "normal", 1)
         assert q.drain() == list(range(5))
-
-
-def test_zipf_tenants_is_head_heavy():
-    rng = np.random.default_rng(0)
-    draws = zipf_tenants(rng, 5, 2000, s=1.1)
-    counts = np.bincount(draws, minlength=5)
-    assert counts[0] == max(counts)
-    assert all(0 <= t < 5 for t in draws)
 
 
 # -- end-to-end parity -------------------------------------------------------
@@ -332,21 +315,21 @@ class TestEndToEndParity:
                 )
                 assert fut.result(timeout=30).tobytes() == expected.tobytes()
 
-    def test_async_client_parity(self, hosted_service, rng):
-        import asyncio
-
+    def test_asyncio_caller_parity_via_wrap_future(self, hosted_service, rng):
         rhs = rng.standard_normal((N, 3))
         expected = hosted_service.service.engine.submit(SPEC, rhs).result(
             timeout=30
         )
+        with ServiceClient(
+            hosted_service.host, hosted_service.port, hedge_delay=0
+        ) as client:
 
-        async def main():
-            async with AsyncServiceClient(
-                hosted_service.host, hosted_service.port
-            ) as client:
-                return await client.submit(SPEC, rhs)
+            async def main():
+                return await asyncio.wait_for(
+                    asyncio.wrap_future(client.submit(SPEC, rhs)), timeout=30
+                )
 
-        got = asyncio.run(main())
+            got = asyncio.run(main())
         assert got.tobytes() == expected.tobytes()
 
     def test_bad_request_gets_error_frame_not_hang(self, hosted_service, rng):
@@ -664,7 +647,9 @@ class TestHedging:
                 stats = client.stats()
                 assert stats["hedges"] == 1
                 assert stats["hedge_wins"] == 1
-                deadline = time.time() + 5.0
+                # The scripted server reads the CANCEL only after its 5 s
+                # hold on the first reply ends, so wait well past that.
+                deadline = time.time() + 15.0
                 while not server.cancelled and time.time() < deadline:
                     time.sleep(0.01)
                 assert server.cancelled == [1]  # the stalled original
@@ -847,3 +832,96 @@ class TestTenantAccounting:
         clone = pickle.loads(pickle.dumps(err))
         assert clone.tenant == "mallory"
         assert "mallory" in str(clone)
+
+
+# -- one tenant's poisoned columns -------------------------------------------
+
+WAVES = 12  # more batches than PlanBreaker's default trip count of 5
+WAVE = 8  # single-column requests per wave: one wave fills one batch
+
+
+def _poisoned_engine():
+    """Every batch verified; a wave is cut as one batch when it fills."""
+    return SolveEngine(
+        EngineConfig(max_batch=WAVE, max_linger=2.0, verify_every=1)
+    )
+
+
+def _waves(rng):
+    """Per wave, ``(tenant, rhs)`` pairs: one NaN column from mallory,
+    the rest clean columns from alice."""
+    for wave in range(WAVES):
+        requests = []
+        for slot in range(WAVE):
+            rhs = rng.standard_normal(N)
+            if slot == wave % WAVE:
+                rhs[N // 2] = np.nan
+                requests.append(("mallory", rhs))
+            else:
+                requests.append(("alice", rhs))
+        yield requests
+
+
+class TestPoisonedTenant:
+    """The retry isolates each poisoned column, so a batch it partly
+    rescued is a success of the plan key: mallory's NaN columns are
+    quarantined without opening the key's circuit for alice."""
+
+    def test_engine_quarantines_culprits_circuit_stays_closed(self, rng):
+        direct = SplineBuilder(SPEC)
+        with _poisoned_engine() as engine:
+            for wave in _waves(rng):
+                futures = [
+                    (tenant, rhs, engine.submit(SPEC, rhs, tenant=tenant))
+                    for tenant, rhs in wave
+                ]
+                for tenant, rhs, fut in futures:
+                    if tenant == "mallory":
+                        with pytest.raises(VerificationError):
+                            fut.result(timeout=30)
+                    else:
+                        got = fut.result(timeout=30)
+                        assert got.tobytes() == direct.solve(rhs).tobytes()
+            snap = engine.telemetry_snapshot()
+        assert snap["counters"].get("circuit.opened", 0) == 0
+        mallory = snap["tenants"]["mallory"]["counters"]
+        assert mallory["requests_quarantined"] == WAVES
+        alice = snap["tenants"]["alice"]["counters"]
+        assert alice["requests_completed"] == WAVES * (WAVE - 1)
+
+    def test_service_clean_tenant_never_sees_circuit_open(self, rng):
+        direct = SplineBuilder(SPEC)
+        with ServiceThread(_poisoned_engine(), own_engine=True) as hosted:
+            with ServiceClient(hosted.host, hosted.port, hedge_delay=0) as client:
+                for wave in _waves(rng):
+                    futures = [
+                        (tenant, rhs, client.submit(SPEC, rhs, tenant=tenant))
+                        for tenant, rhs in wave
+                    ]
+                    for tenant, rhs, fut in futures:
+                        if tenant == "mallory":
+                            with pytest.raises(ServiceError) as err:
+                                fut.result(timeout=30)
+                            assert err.value.code == "VERIFY_FAILED"
+                        else:
+                            got = fut.result(timeout=30)
+                            assert got.tobytes() == direct.solve(rhs).tobytes()
+
+    def test_lone_poisoned_requests_still_open_the_circuit(self, rng):
+        key = PlanKey.from_spec(SPEC)
+        with SolveEngine(EngineConfig(max_batch=1, verify_every=1)) as engine:
+            for _ in range(5):  # PlanBreaker's default trip count
+                rhs = rng.standard_normal(N)
+                rhs[N // 2] = np.nan
+                with pytest.raises(VerificationError):
+                    engine.submit(SPEC, rhs, tenant="mallory").result(timeout=30)
+            # The key's failure is recorded just after the future fails.
+            deadline = time.monotonic() + 30
+            while engine.breaker.state(key) != "open":
+                assert time.monotonic() < deadline, "circuit never opened"
+                time.sleep(0.01)
+            with pytest.raises(VerificationError) as err:
+                engine.submit(SPEC, rng.standard_normal(N), tenant="alice")
+            assert getattr(err.value, "short_circuited", False)
+            snap = engine.telemetry_snapshot()
+        assert snap["counters"]["circuit.opened"] == 1

@@ -37,7 +37,6 @@ PACKAGES = [
     "repro.service.admission",
     "repro.service.server",
     "repro.service.client",
-    "repro.service.loadgen",
     "repro.verify",
     "repro.verify.residual",
     "repro.verify.condest",
