@@ -14,10 +14,12 @@ Two claims from the resilience layer are measured here:
    differ by more than the hooks could cost.
 
 2. **Healing is bounded and exact.**  A seeded crash plan kills workers
-   mid-campaign; the worker pool requeues and respawns, and the run
-   completes with coefficients bitwise identical to the undisturbed
-   thread-path run.  The report shows the recovery cost: wall time with
-   and without chaos, plus the death/respawn/requeue counts behind it.
+   mid-campaign; the worker pool fails the dead workers' shards and
+   respawns them, the engine's per-request retry answers the batches
+   that lost a shard, and the run completes with coefficients bitwise
+   identical to the undisturbed thread-path run.  The report shows the
+   recovery cost: wall time with and without chaos, plus the
+   death/respawn/retry counts behind it.
 
 Run standalone or with ``--quick`` for CI smoke sizes::
 
@@ -167,7 +169,7 @@ def render_recovery(nx: int, requests: int):
     ) and all(np.array_equal(a, b) for a, b in zip(calm, reference))
     table = Table(
         f"Self-healing under worker crashes: {requests} requests, n={nx}",
-        ["run", "campaign [ms]", "deaths", "respawns", "requeued shards"],
+        ["run", "campaign [ms]", "deaths", "respawns", "retried requests"],
     )
     table.add_row("threads (reference)", t_ref * 1e3, "-", "-", "-")
     table.add_row("processes, no faults", t_calm * 1e3, 0, 0, 0)
@@ -176,7 +178,7 @@ def render_recovery(nx: int, requests: int):
         t_chaos * 1e3,
         counters.get("supervisor.worker_deaths", 0),
         counters.get("supervisor.respawns", 0),
-        counters.get("sharded.requeued_shards", 0),
+        counters.get("engine.request_retries", 0),
     )
     lines = [
         table.render(),
@@ -202,7 +204,7 @@ def test_crash_recovery_is_bitwise(write_result):
     write_result("chaos_recovery", report)
     assert identical
     assert counters.get("supervisor.worker_deaths", 0) >= 1
-    assert counters.get("sharded.requeued_shards", 0) >= 1
+    assert counters.get("engine.request_retries", 0) >= 1
 
 
 # -- standalone entry -----------------------------------------------------
@@ -239,7 +241,7 @@ def main(argv=None) -> int:
         "healed: "
         f"{counters.get('supervisor.worker_deaths', 0)} deaths, "
         f"{counters.get('supervisor.respawns', 0)} respawns, "
-        f"{counters.get('sharded.requeued_shards', 0)} requeued shards"
+        f"{counters.get('engine.request_retries', 0)} retried requests"
     )
     return 0
 

@@ -8,8 +8,10 @@ Kokkos-tools and reads per-region timings with ``kp_reader``:
 
 This port takes the same two arguments, runs the same 10 profiled
 iterations of the spline build at the paper's §IV problem shape (scaled by
-``REPRO_NX`` / ``REPRO_NV``), and prints the same region report from the
-:mod:`repro.xspace` profiler — plus the optimization-version ladder.
+``REPRO_NX`` / ``REPRO_NV``), times each version's solves as a
+:class:`~repro.runtime.telemetry.Telemetry` span, and prints the same
+region report from the telemetry snapshot — plus the optimization-version
+ladder.
 
 Run:  python examples/characteristics_advection.py 0 3
       (0 = uniform / 1 = non-uniform, degree = 3|4|5)
@@ -22,7 +24,7 @@ import numpy as np
 
 from repro.bench import default_field
 from repro.core import BSplineSpec, SplineBuilder
-from repro.xspace.parallel import profiler, profiling_region
+from repro.runtime.telemetry import Telemetry
 
 
 def run(non_uniform: int, degree: int, nx: int, nv: int, iterations: int = 10):
@@ -32,20 +34,25 @@ def run(non_uniform: int, degree: int, nx: int, nv: int, iterations: int = 10):
         f"{iterations} iterations"
     )
     f = default_field(np.linspace(0.0, 1.0, nx, endpoint=False), nv).T.copy()
+    telemetry = Telemetry()
     for version in (0, 1, 2):
         builder = SplineBuilder(spec, version=version)
         work = f.copy()
-        label = f"ddc_splines_solve_v{version}"
         for _ in range(iterations):
-            with profiling_region(label):
+            with telemetry.span(f"ddc_splines_solve_v{version}"):
                 builder.solve(work, in_place=True)
+    series = telemetry.snapshot()["series"]
+    totals = {}
     print("\nRegions:\n")
-    for line in profiler.report():
-        if "ddc_splines_solve" in line:
-            print(f"- {line}")
-    v0 = profiler.totals["ddc_splines_solve_v0"]
-    v1 = profiler.totals["ddc_splines_solve_v1"]
-    v2 = profiler.totals["ddc_splines_solve_v2"]
+    for version in (0, 1, 2):
+        label = f"ddc_splines_solve_v{version}"
+        region = series[f"{label}.seconds"]
+        totals[version] = region["mean"] * region["count"]
+        print(
+            f"- {label} (REGION) {totals[version]:.6f} {region['count']} "
+            f"{region['mean']:.6f}"
+        )
+    v0, v1, v2 = totals[0], totals[1], totals[2]
     print(
         f"\nspeedups: kernel fusion {v0 / v1:.2f}x, gemv->spmv {v1 / v2:.2f}x, "
         f"total {v0 / v2:.2f}x"
@@ -55,7 +62,6 @@ def run(non_uniform: int, degree: int, nx: int, nv: int, iterations: int = 10):
         "only 1.30x\n vs 2.25x on A100 — while the sparse-corner step wins "
         "everywhere; see Table III.)"
     )
-    profiler.reset()
 
 
 def main() -> None:

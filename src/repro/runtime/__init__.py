@@ -36,7 +36,8 @@ puts in front of the solver stack:
   :class:`~repro.runtime.resilience.faults.FaultPlan` fault injection,
   a per-plan-key :class:`~repro.runtime.resilience.circuit.PlanBreaker`,
   and the engine's processes → threads → serial degradation ladder (the
-  worker pool itself respawns dead workers and requeues their shards).
+  worker pool fails a dead worker's shards and respawns it; the engine's
+  per-request retry answers the batch that lost them).
 
 Quickstart::
 

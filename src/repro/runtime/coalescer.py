@@ -141,26 +141,6 @@ class CoalescedBatch:
             offset += req.cols
         return block
 
-    def fill(self, block: np.ndarray, col0: int, col1: int) -> None:
-        """Re-gather columns ``[col0, col1)`` of *block* from the requests.
-
-        The recovery path's restore primitive: a worker that died mid
-        solve leaves its shard of the (shared-memory) block partially
-        overwritten, so before the shard is requeued its column range is
-        refilled from the original, untouched request data — the exact
-        values :meth:`assemble` wrote there, giving the requeued solve
-        bitwise-identical inputs.
-        """
-        offset = 0
-        for req in self.requests:
-            lo, hi = offset, offset + req.cols
-            offset = hi
-            if hi <= col0 or lo >= col1:
-                continue
-            cols = req.rhs if req.rhs.ndim == 2 else req.rhs[:, None]
-            s0, s1 = max(lo, col0), min(hi, col1)
-            block[:, s0:s1] = cols[:, s0 - lo : s1 - lo]
-
     def scatter(self, block: np.ndarray) -> None:
         """Slice the solved block back per request and resolve the futures.
 

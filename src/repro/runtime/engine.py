@@ -22,7 +22,7 @@ and right-hand sides; the engine
    *single* batch (bitwise identical to the thread path);
 5. counts everything in :class:`~repro.runtime.telemetry.Telemetry`.
 
-On top of that sits the PR 5 resilience layer (:mod:`repro.runtime.resilience`):
+On top of that sits the resilience layer (:mod:`repro.runtime.resilience`):
 
 * every plan key flows through a :class:`~repro.runtime.resilience.circuit.PlanBreaker`
   — a key that keeps failing is short-circuited into a fast replica of
@@ -30,12 +30,15 @@ On top of that sits the PR 5 resilience layer (:mod:`repro.runtime.resilience`):
   request.  A batch counts as a failure of its key only when no member
   succeeded, so one caller's poisoned columns, isolated by the retry,
   never open the key for everyone else;
-* under ``executor="processes"`` the worker pool supervises itself: it
-  respawns dead workers and requeues their in-flight shards
-  (bitwise-identical results);
+* under ``executor="processes"`` the worker pool supervises liveness:
+  it fails a dead worker's in-flight shards and respawns the worker.  A
+  batch that lost a shard goes to the same per-request retry as any
+  other failed batch, which re-solves each request from its original
+  right-hand side (bitwise-identical results);
 * a **degradation ladder** keeps accepted requests answered when layers
   fail: an exhausted worker pool drops the engine from *processes* to
-  *threads*, and a broken thread pool drops it to *serial*
+  *threads* (the batch that found it exhausted goes to the retry), and
+  a broken thread pool drops it to *serial*
   solves on the caller's thread.  Every transition is logged, counted,
   and recorded in the telemetry event ring; no rung ever silently drops
   a request.  A batch whose shared-memory lease fails
@@ -602,23 +605,17 @@ class SolveEngine:
                     from repro.runtime.sharded import WorkerError
 
                     try:
-                        sharded.solve(
-                            key,
-                            lease,
-                            restore=lambda c0, c1: batch.fill(block, c0, c1),
-                        )
+                        sharded.solve(key, lease)
                     except WorkerError as exc:
-                        # Only an exhausted pool degrades; any other
-                        # worker failure goes to the per-request retry.
-                        if not sharded.exhausted:
-                            raise
-                        self._degrade_to_threads(f"worker pool exhausted: {exc}")
-                        # Survivor shards may have half-written the block.
-                        batch.fill(block, 0, block.shape[1])
-                        sharded = None
-                if sharded is None:
-                    if builder is None:
-                        builder = self.plan_cache.builder(key)
+                        # A lost shard goes to the per-request retry
+                        # below; an exhausted pool first steps the
+                        # ladder down, so later batches solve here.
+                        if sharded.exhausted:
+                            self._degrade_to_threads(
+                                f"worker pool exhausted: {exc}"
+                            )
+                        raise
+                else:
                     if self._faults is not None:
                         self._faults.fire("engine.batch_solve", key=key)
                     builder.solve(block, in_place=True)

@@ -19,11 +19,13 @@ CI by making every failure mode reproducible on demand:
   breaker (closed → open → half-open) that short-circuits known-failing
   plans into fast failures instead of burning full-cost retries.
 
-Worker-pool healing lives in the pool itself: the
+Worker-pool supervision lives in the pool itself: the
 :class:`~repro.runtime.sharded.ShardedExecutor` monitor detects dead (and
-hung) workers, restores and requeues their in-flight shards onto
-survivors, and respawns them under exponential backoff with seeded
-jitter, bounded by a restart budget.
+hung) workers, fails their in-flight shards with
+:class:`~repro.runtime.sharded.WorkerError`, and respawns them under
+exponential backoff with seeded jitter, bounded by a restart budget.  A
+lost shard is never delivered again: the engine's per-request retry
+re-solves the batch's requests from their original right-hand sides.
 
 The :class:`~repro.runtime.engine.SolveEngine` ties these into a
 graceful degradation ladder: ``processes`` falls back to ``threads``

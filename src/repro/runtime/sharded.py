@@ -26,27 +26,27 @@ distribute exactly this workload over nodes and worker partitions; the
   single-process path (the batched kernels treat columns independently —
   the same property the coalescer already relies on).
 
-The pool supervises itself.  Every in-flight shard is a
-:class:`_PendingTask` carrying everything needed to *reissue* it — its
-message tail, its restore callback (an interrupted in-place solve leaves
-partial garbage in the shared block, so the shard's columns are re-filled
-from the original request data before the retry), and its attempt count.
-A monitor thread sweeps the workers every ``_POLL_INTERVAL`` seconds:
+The pool supervises liveness only.  A monitor thread sweeps the workers
+every ``_POLL_INTERVAL`` seconds:
 
 * a worker whose oldest in-flight shard outlived ``hang_timeout`` is
-  killed first, so a requeued shard never races a still-writing worker;
-* a dead worker's shards are restored and requeued onto survivors
-  (bitwise-identical results, because shard boundaries and the kernels
-  are deterministic), or parked on the rank until its respawn;
+  killed and joined;
+* once a worker is dead and joined (a crash, an outside SIGKILL, or that
+  hang kill), each of its in-flight shards fails with a
+  :class:`WorkerError` naming the worker, plan key and column range.
+  The shard is not delivered again: the engine's per-request retry
+  re-solves the batch's requests from their original right-hand sides,
+  bitwise identically, because the batched kernels treat columns
+  independently;
 * the rank respawns under exponential backoff with seeded jitter,
   bounded by a pool-wide ``restart_budget``.  Once the budget is spent
   the pool is :attr:`~ShardedExecutor.exhausted`, and the engine steps
   down its degradation ladder (processes → threads).
 
-Deaths, hangs and respawns are counted (``supervisor.worker_deaths`` /
-``.respawns`` / ``.hangs`` / ``.budget_exhausted``,
-``sharded.requeued_shards``) and land in the telemetry ``supervisor``
-event ring.
+A shard that finds no live worker fails at once.  Deaths, hangs and
+respawns are counted (``supervisor.worker_deaths`` / ``.respawns`` /
+``.hangs`` / ``.budget_exhausted``) and land in the telemetry
+``supervisor`` event ring.
 
 Wire-up is one knob: ``SolveEngine(executor="processes", num_workers=4)``
 — ``submit()``, ``map_batches()``, ``SplineBuilder(engine=...)`` and
@@ -66,8 +66,7 @@ import signal
 import threading
 import time
 from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -105,22 +104,15 @@ _BACKOFF_MAX = 2.0
 #: seeded with ``_JITTER_SEED`` so chaos runs replay
 _JITTER = 0.25
 _JITTER_SEED = 0
-#: requeues one shard may consume before it fails permanently
-_MAX_SHARD_RETRIES = 4
-
-#: seconds a dispatch will wait for the monitor to bring a worker back
-#: before giving up — well past the default backoff ceiling, so the only
-#: way to hit it is a pool that genuinely cannot heal
-_LIVE_WAIT_TIMEOUT = 30.0
 
 
 class WorkerError(ReproError, RuntimeError):
     """A worker process failed (or died) while solving a shard.
 
     Carries the shard's context when known — which worker held it, the
-    plan key it was solving, the ``(col0, col1)`` column range, how many
-    delivery attempts it consumed, and (once the engine's per-request
-    retry path has attributed it) the *tenant* whose request it failed —
+    plan key it was solving, the ``(col0, col1)`` column range, and (once
+    the engine's per-request retry path has attributed it) the *tenant*
+    whose request it failed —
     so a campaign log names the exact shard that died instead of just
     "a worker died", and a multi-tenant report can say whose it was.
     """
@@ -131,14 +123,12 @@ class WorkerError(ReproError, RuntimeError):
         worker_id: Optional[int] = None,
         key=None,
         cols: Optional[Tuple[int, int]] = None,
-        attempt: Optional[int] = None,
         tenant=None,
     ) -> None:
         super().__init__(message)
         self.worker_id = worker_id
         self.key = key
         self.cols = cols
-        self.attempt = attempt
         self.tenant = tenant
 
     def __reduce__(self):
@@ -151,7 +141,6 @@ class WorkerError(ReproError, RuntimeError):
                 self.worker_id,
                 self.key,
                 self.cols,
-                self.attempt,
                 self.tenant,
             ),
         )
@@ -165,8 +154,6 @@ class WorkerError(ReproError, RuntimeError):
             context.append(f"key={self.key}")
         if self.cols is not None:
             context.append(f"cols=[{self.cols[0]}, {self.cols[1]})")
-        if self.attempt is not None:
-            context.append(f"attempt={self.attempt}")
         if self.tenant is not None:
             context.append(f"tenant={self.tenant}")
         return f"{base} [{', '.join(context)}]" if context else base
@@ -340,42 +327,29 @@ class ShmLease:
 
 
 class _PendingTask:
-    """One in-flight message and everything needed to reissue it.
+    """One in-flight message: the future its acknowledgement resolves,
+    the rank holding it, and (solve shards only) the plan key and column
+    range a :class:`WorkerError` names if that rank dies first."""
 
-    ``tail`` is the message payload after ``(kind, task_id)``, verbatim;
-    ``restore`` (solve shards only) re-fills the shard's columns from
-    the original request data — mandatory before a retry, because the
-    dead worker may have half-overwritten them in place.  ``attempt``
-    counts deliveries consumed so a shard cannot requeue forever.
-    """
-
-    __slots__ = (
-        "future", "rank", "kind", "tail", "restore",
-        "attempt", "issued_at", "key", "cols",
-    )
+    __slots__ = ("future", "rank", "kind", "issued_at", "key", "cols")
 
     def __init__(
         self,
         rank: int,
         kind: str,
-        tail: tuple,
-        restore: Optional[Callable[[], None]] = None,
         key=None,
         cols: Optional[Tuple[int, int]] = None,
     ) -> None:
         self.future: Future = Future()
         self.rank = rank
         self.kind = kind
-        self.tail = tail
-        self.restore = restore
-        self.attempt = 0
         self.issued_at = time.monotonic()
         self.key = key
         self.cols = cols
 
 
 class ShardedExecutor:
-    """Self-healing worker-process pool solving column shards of batches.
+    """Supervised worker-process pool solving column shards of batches.
 
     Parameters
     ----------
@@ -437,9 +411,7 @@ class ShardedExecutor:
         self._exhausted = False
         self._ctx = mp.get_context(DEFAULT_START_METHOD)
         self._lock = threading.Lock()
-        self._cv = threading.Condition(self._lock)
         self._pending: Dict[int, _PendingTask] = {}
-        self._parked: Dict[int, List[_PendingTask]] = {}
         self._rr = 0
         self._next_id = 0
         self._closed = False
@@ -546,141 +518,55 @@ class ShardedExecutor:
                     continue
                 with self._lock:
                     task = self._pending.pop(task_id, None)
-                if task is None:  # a late ack from a terminated/requeued shard
+                if task is None:  # a late ack from a shard already failed
                     continue
                 if status == "ok":
                     task.future.set_result(payload)
                 else:
                     task.future.set_exception(payload)
 
-    def _issue(self, rank: int, message_tail: tuple, kind: str = _SOLVE) -> Future:
+    def _issue(self, rank: int, message_tail: tuple, kind: str) -> Future:
         """Issue a rank-directed control message (snapshot / stop)."""
         with self._lock:
             if self._closed:
                 raise WorkerError("sharded executor is shut down")
             task_id = self._next_id
             self._next_id += 1
-            task = _PendingTask(rank, kind, message_tail)
+            task = _PendingTask(rank, kind)
             self._pending[task_id] = task
             q = self._tasks[rank]
         q.put((kind, task_id) + message_tail)
         return task.future
 
-    def _issue_live(
-        self,
-        tail: tuple,
-        kind: str,
-        restore: Optional[Callable[[], None]],
-        key,
-        cols: Tuple[int, int],
-    ) -> Future:
+    def _issue_live(self, tail: tuple, key, cols: Tuple[int, int]) -> Future:
         """Register and issue one solve shard to the next live worker.
 
         Pick, register and queue-grab happen under one lock hold, so a
-        shard can never be sent to a rank that was already marked down —
-        and a rank that dies *after* the send still carries the shard in
-        ``_pending``, where the monitor's requeue finds it.  With no live
-        rank the call waits for the monitor to respawn one, failing fast
-        when the pool is closed or exhausted (never deadlocks: a hard
-        timeout backstops the wait).
+        shard is never sent to a rank already marked down, and a rank
+        that dies *after* the send still holds the shard in ``_pending``,
+        where the monitor fails it.  With no live rank the shard fails at
+        once.
         """
-        deadline = time.monotonic() + _LIVE_WAIT_TIMEOUT
         with self._lock:
-            while True:
-                if self._closed:
-                    raise WorkerError("sharded executor is shut down")
-                live = [
-                    rank for rank in range(self.num_workers) if self._live[rank]
-                ]
-                if live:
-                    self._rr += 1
-                    rank = live[self._rr % len(live)]
-                    task_id = self._next_id
-                    self._next_id += 1
-                    task = _PendingTask(rank, kind, tail, restore, key, cols)
-                    self._pending[task_id] = task
-                    q = self._tasks[rank]
-                    break
-                if self._exhausted:
-                    raise WorkerError(
-                        "no live worker processes and the restart budget "
-                        "is exhausted",
-                        key=key,
-                        cols=cols,
-                    )
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise WorkerError(
-                        f"timed out after {_LIVE_WAIT_TIMEOUT:.1f}s "
-                        "waiting for a live worker; "
-                        f"ranks awaited: {self._rank_states_locked()}",
-                        key=key,
-                        cols=cols,
-                    )
-                self._cv.wait(timeout=min(0.05, remaining))
-        q.put((kind, task_id) + tail)
+            if self._closed:
+                raise WorkerError("sharded executor is shut down")
+            live = [rank for rank in range(self.num_workers) if self._live[rank]]
+            if not live:
+                raise WorkerError("no live worker process", key=key, cols=cols)
+            self._rr += 1
+            rank = live[self._rr % len(live)]
+            task_id = self._next_id
+            self._next_id += 1
+            task = _PendingTask(rank, _SOLVE, key, cols)
+            self._pending[task_id] = task
+            q = self._tasks[rank]
+        q.put((_SOLVE, task_id) + tail)
         return task.future
-
-    def _rank_states_locked(self) -> Dict[int, str]:
-        """Per-rank lease state for timeout diagnostics (under the lock).
-
-        ``live`` — routable; ``down`` — marked down, process still up
-        (death being handled); ``dead`` — marked down and the process is
-        gone (respawn pending or budget spent).
-        """
-        states = {}
-        for rank in range(self.num_workers):
-            if self._live[rank]:
-                states[rank] = "live"
-            elif self._procs[rank].is_alive():
-                states[rank] = "down"
-            else:
-                states[rank] = "dead"
-        return states
-
-    def _await(self, fut: Future, what: str):
-        """Wait on *fut* across worker deaths.
-
-        Every pending shard is acknowledged, requeued or failed by the
-        monitor, so the wait needs one backstop only: a future the pool
-        no longer *tracks* (neither pending nor parked) can never
-        resolve, so after a few grace ticks it fails as
-        :class:`WorkerError` rather than hanging the caller forever.
-        The grace period covers the honest untracked window while the
-        monitor restores and reissues a requeued shard.
-        """
-        untracked_ticks = 0
-        while True:
-            try:
-                return fut.result(timeout=1.0)
-            except FutureTimeoutError:
-                with self._lock:
-                    tracked = any(
-                        t.future is fut for t in self._pending.values()
-                    ) or any(
-                        t.future is fut
-                        for tasks in self._parked.values()
-                        for t in tasks
-                    )
-                if tracked or fut.done():
-                    untracked_ticks = 0
-                    continue
-                untracked_ticks += 1
-                if untracked_ticks < 3:
-                    continue
-                raise WorkerError(
-                    f"in-flight shard lost by the pool during {what} "
-                    "(neither pending, parked, nor resolved)"
-                ) from None
 
     def _fail_pending(self, exc: BaseException) -> None:
         with self._lock:
             pending, self._pending = self._pending, {}
-            parked, self._parked = self._parked, {}
-        tasks = list(pending.values())
-        for rank_tasks in parked.values():
-            tasks.extend(rank_tasks)
-        for task in tasks:
+        for task in pending.values():
             if not task.future.done():
                 task.future.set_exception(exc)
 
@@ -723,18 +609,25 @@ class ShardedExecutor:
                         "worker %d hung for %.2fs (> %.2fs); terminating",
                         rank, age, self._hang_timeout,
                     )
-                    # Kill first: the requeue below must never race a
-                    # worker that is still writing into shared memory.
+                    # Its shards fail below, once the join confirms no
+                    # write into shared memory can follow.
                     self._terminate_worker(rank)
         for rank in range(self.num_workers):
             if self._live[rank] and not self._procs[rank].is_alive():
                 self._handle_death(rank)
 
     def _handle_death(self, rank: int) -> None:
+        """Fail dead *rank*'s in-flight shards, then respawn it.
+
+        Runs only once the process is gone (``is_alive()`` reaped it, or
+        :meth:`_terminate_worker` joined it), so no failed shard's
+        columns can still be written when its caller recycles the lease.
+        """
         self.telemetry.incr("supervisor.worker_deaths")
         with self._lock:
             self._live[rank] = False  # route no new shard at the rank
-            self._cv.notify_all()
+            lost = [tid for tid, task in self._pending.items() if task.rank == rank]
+            victims = [self._pending.pop(tid) for tid in lost]
         will_respawn = self._restarts_left > 0 and not self._closed
         self.telemetry.event(
             "supervisor",
@@ -744,24 +637,29 @@ class ShardedExecutor:
             restarts_left=self._restarts_left,
         )
         _LOG.warning(
-            "worker %d died (%s); requeueing its in-flight shards",
+            "worker %d died (%s); failing its %d in-flight shard(s)",
             rank, "respawning" if will_respawn else "restart budget spent",
+            len(victims),
         )
         if self._restarts_left == 0 and not self._exhausted:
-            # Marked before the requeue fails any shard, so a caller that
-            # sees the failure also sees the exhaustion.
-            with self._lock:
-                self._exhausted = True
-                self._cv.notify_all()
+            # Marked before any shard fails, so a caller that sees the
+            # failure also sees the exhaustion.
+            self._exhausted = True
             self.telemetry.incr("supervisor.budget_exhausted")
             self.telemetry.event(
                 "supervisor", action="budget_exhausted", rank=rank
             )
             _LOG.error("worker restart budget spent; pool marked exhausted")
-        # Move what can move to survivors right now; shards that cannot
-        # (no survivors) stay parked on the rank only if a respawn is
-        # coming to pick them up, otherwise they fail fast.
-        self._requeue_rank(rank, allow_park=will_respawn)
+        for task in victims:
+            if not task.future.done():  # the ack may have beaten the death
+                task.future.set_exception(
+                    WorkerError(
+                        "worker died before answering",
+                        worker_id=rank,
+                        key=task.key,
+                        cols=task.cols,
+                    )
+                )
         if not will_respawn:
             return
         self._restarts_left -= 1
@@ -788,8 +686,9 @@ class ShardedExecutor:
     def _terminate_worker(self, rank: int) -> None:
         """Kill *rank* now (hang remediation) and wait until it is dead.
 
-        The join matters: a requeued shard must never race a terminated
-        worker that is still mid-write in the shared block.
+        The join matters: a shard fails only once its worker can no
+        longer write into the shared block, because the caller recycles
+        the lease as soon as :meth:`solve` returns.
         """
         proc = self._procs[rank]
         proc.terminate()
@@ -809,106 +708,13 @@ class ShardedExecutor:
                     oldest = task.issued_at
         return None if oldest is None else now - oldest
 
-    def _pick_survivor_locked(self) -> Optional[int]:
-        live = [
-            rank
-            for rank in range(self.num_workers)
-            if self._live[rank] and self._procs[rank].is_alive()
-        ]
-        if not live:
-            return None
-        self._rr += 1
-        return live[self._rr % len(live)]
-
-    def _fail_task(self, task: _PendingTask, rank: int, message: str) -> None:
-        if task.future.done():  # pragma: no cover - raced with an ack
-            return
-        task.future.set_exception(
-            WorkerError(
-                message,
-                worker_id=rank,
-                key=task.key,
-                cols=task.cols,
-                attempt=task.attempt,
-            )
-        )
-
-    def _reissue(self, task: _PendingTask, rank: int) -> bool:
-        with self._lock:
-            if self._closed:
-                return False
-            task_id = self._next_id
-            self._next_id += 1
-            task.rank = rank
-            task.attempt += 1
-            task.issued_at = time.monotonic()
-            self._pending[task_id] = task
-            q = self._tasks[rank]
-        q.put((task.kind, task_id) + task.tail)
-        return True
-
-    def _requeue_rank(self, rank: int, allow_park: bool) -> None:
-        """Move dead *rank*'s in-flight shards to survivors.
-
-        Each shard is **restored first** — its column range re-filled
-        from the original request data — because the dead worker may
-        have half-overwritten it in place; re-solving restored columns
-        is bitwise identical to the undisturbed run.  A shard past
-        ``_MAX_SHARD_RETRIES`` requeues fails with full context.  With no
-        survivor the shard parks on *rank* when a respawn is coming
-        (``allow_park``), else fails fast.  Control messages
-        (snapshot/stop) always fail.
-        """
-        with self._lock:
-            victims = [
-                (task_id, task)
-                for task_id, task in self._pending.items()
-                if task.rank == rank
-            ]
-            for task_id, _ in victims:
-                del self._pending[task_id]
-        for _, task in victims:
-            if task.future.done():  # the ack beat the death notice
-                continue
-            if task.kind != _SOLVE:
-                self._fail_task(task, rank, "worker died before answering")
-                continue
-            if task.attempt >= _MAX_SHARD_RETRIES:
-                self._fail_task(
-                    task,
-                    rank,
-                    f"shard failed after {task.attempt + 1} deliveries",
-                )
-                continue
-            try:
-                if task.restore is not None:
-                    task.restore()
-            except BaseException as exc:  # noqa: BLE001 - surface to caller
-                if not task.future.done():
-                    task.future.set_exception(exc)
-                continue
-            with self._lock:
-                target = self._pick_survivor_locked()
-            if target is None:
-                if allow_park and not self._closed:
-                    with self._lock:
-                        self._parked.setdefault(rank, []).append(task)
-                    continue
-                self._fail_task(task, rank, "no live workers to requeue onto")
-                continue
-            if self._reissue(task, target):
-                self.telemetry.incr("sharded.requeued_shards")
-            else:
-                self._fail_task(task, rank, "executor closed during requeue")
-
     def _respawn(self, rank: int) -> bool:
-        """Relaunch dead *rank* with a **fresh task queue**, reissuing its
-        parked shards; returns whether a new process is running.
+        """Relaunch dead *rank* with a **fresh task queue**; returns
+        whether a new process is running.
 
         The fresh queue is load-bearing: messages queued to the dead
-        process must never be drained by its replacement — every one of
-        them was either acknowledged, requeued, or failed already, and a
-        replay would double-solve (harmless) or double-ack (confusing).
+        process were all failed already, and its replacement must never
+        drain and answer them.
         """
         with self._lock:
             if self._closed or self._live[rank]:
@@ -919,25 +725,17 @@ class ShardedExecutor:
         old.join(timeout=2.0)
         try:
             new_q, rx, proc = self._spawn_worker(rank)
-        except BaseException:  # pragma: no cover - resource exhaustion
-            with self._lock:
-                parked = self._parked.pop(rank, [])
-            for task in parked:
-                self._fail_task(task, rank, "worker respawn failed")
+        except Exception:  # pragma: no cover - resource exhaustion
+            _LOG.exception("worker %d respawn failed", rank)
             return False
         with self._lock:
             self._tasks[rank] = new_q
             self._procs[rank] = proc
             self._live[rank] = True
             self._reader_conns.append(rx)
-            parked = self._parked.pop(rank, [])
-            self._cv.notify_all()
         # The dead incarnation's pipe stays in the wait set until its EOF
         # drains — acks it sent before dying are still honored.
         self._wake_collector()
-        for task in parked:
-            if not self._reissue(task, rank):  # pragma: no cover - closing
-                self._fail_task(task, rank, "executor closed during respawn")
         return True
 
     # -- leases ----------------------------------------------------------
@@ -952,25 +750,17 @@ class ShardedExecutor:
 
     # -- the sharded solve ----------------------------------------------
 
-    def solve(
-        self,
-        key,
-        lease: ShmLease,
-        restore: Optional[Callable[[int, int], None]] = None,
-    ) -> None:
+    def solve(self, key, lease: ShmLease) -> None:
         """Solve ``lease.array`` in place, column-sharded over the workers.
 
         The balanced decomposition is fixed by ``num_workers`` (not by
         how many workers happen to be alive), and each shard goes to the
         next live rank; the call returns only after every shard
         acknowledged, so the block is fully solved (and safe to scatter)
-        on return.  If any shard failed, the first failure is re-raised
-        — after all acks, so no worker is still writing into the lease.
-
-        *restore*, called as ``restore(col0, col1)``, must re-fill that
-        column range of ``lease.array`` with its original (unsolved)
-        values; with it, a shard lost to a worker death is restored and
-        requeued instead of failing the whole block.
+        on return.  If any shard failed — a worker error, a worker that
+        died holding it, or no live worker — the first failure is
+        re-raised after every issued shard was answered or failed, so no
+        worker is still writing into the lease.
         """
         n, cols = lease.array.shape
         if cols == 0:
@@ -988,22 +778,14 @@ class ShardedExecutor:
                 col0, col1 = decomp.bounds(shard)
                 if col1 == col0:
                     continue  # zero-width block (ranks > extent): nothing to do
-                self.telemetry.observe("sharded.shard_cols", col1 - col0)
                 try:
                     if self.faults is not None:
                         self.faults.fire(
                             "sharded.dispatch", key=key, cols=(col0, col1)
                         )
-                    shard_restore = (
-                        None
-                        if restore is None
-                        else (lambda c0=col0, c1=col1: restore(c0, c1))
-                    )
                     futures.append(
                         self._issue_live(
                             (key, lease.name, shape, dtype_name, col0, col1),
-                            _SOLVE,
-                            shard_restore,
                             key,
                             (col0, col1),
                         )
@@ -1011,11 +793,12 @@ class ShardedExecutor:
                 except BaseException as exc:  # noqa: BLE001 - drain first
                     failure = exc
                     break
+                self.telemetry.observe("sharded.shard_cols", col1 - col0)
             # Wait for every issued shard even on failure: the lease must
             # not be recycled while a worker can still write into it.
             for fut in futures:
                 try:
-                    self._await(fut, "a shard solve")
+                    fut.result()
                 except BaseException as exc:  # noqa: BLE001 - re-raise below
                     failure = failure or exc
         if failure is not None:
@@ -1081,7 +864,6 @@ class ShardedExecutor:
                 pass
         with self._lock:
             self._closed = True
-            self._cv.notify_all()
         self._fail_pending(WorkerError("sharded executor shut down"))
         for proc in self._procs:
             proc.join(timeout=max(0.1, deadline - time.perf_counter()))

@@ -64,6 +64,9 @@ __all__ = ["ServiceConfig", "SolveService", "ServiceThread", "serve"]
 
 logger = logging.getLogger("repro.service")
 
+#: seconds a closing connection may take to close its transport
+_CLOSE_TIMEOUT = 1.0
+
 
 @dataclass
 class ServiceConfig:
@@ -120,6 +123,17 @@ def classify_error(exc: BaseException) -> Tuple[str, Optional[float]]:
     if isinstance(exc, (protocol.ProtocolError, ShapeError, ValueError)):
         return "BAD_REQUEST", None
     return "INTERNAL", None
+
+
+async def _close_writer(writer: asyncio.StreamWriter) -> None:
+    """Close *writer* and wait, at most ``_CLOSE_TIMEOUT`` seconds, until
+    its transport closed: a transport still closing when the loop stops
+    is never closed, and its socket leaks until garbage collection."""
+    try:
+        writer.close()
+        await asyncio.wait_for(writer.wait_closed(), _CLOSE_TIMEOUT)
+    except (OSError, RuntimeError, asyncio.TimeoutError):
+        pass
 
 
 class _Connection:
@@ -238,12 +252,10 @@ class SolveService:
                 await self._dispatcher
             except asyncio.CancelledError:
                 pass
-        for conn in list(self._conns):
+        conns = list(self._conns)
+        for conn in conns:
             conn.closed = True
-            try:
-                conn.writer.close()
-            except RuntimeError:
-                pass
+        await asyncio.gather(*(_close_writer(conn.writer) for conn in conns))
         self._executor.shutdown(wait=False)
         if self.own_engine:
             self.engine.shutdown()
@@ -281,10 +293,7 @@ class SolveService:
             # any more — mark them cancelled so dispatch skips them.
             for key in [k for k in self._queued_ids if k[0] is conn]:
                 self._queued_ids.pop(key).cancelled = True
-            try:
-                writer.close()
-            except RuntimeError:
-                pass
+            await _close_writer(writer)
 
     async def _handle_frame(
         self, conn: _Connection, ftype: int, payload: bytes

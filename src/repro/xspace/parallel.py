@@ -6,17 +6,15 @@ Listing 2::
     parallel_for("KokkosBatched::SerialPttrs", batch, functor)
 
 where ``functor(i)`` operates on batch column ``i``.  The policy object
-carries the execution space and optional kernel-name label; labels feed the
-lightweight profiling region stack used by the benchmark harness (the
-Kokkos-tools analogue).
+carries the execution space; the kernel-name label is kept for parity with
+the listings.  Timing belongs to :class:`repro.runtime.telemetry.Telemetry`
+spans, the program's one instrumentation system.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.xspace.spaces import DefaultExecutionSpace, ExecutionSpace
 
@@ -32,46 +30,6 @@ class RangePolicy:
     def __post_init__(self) -> None:
         if self.end < self.begin:
             raise ValueError(f"empty-negative range [{self.begin}, {self.end})")
-
-
-class _RegionTimer:
-    """Accumulates wall-clock per labelled kernel region (kp_reader analogue)."""
-
-    def __init__(self) -> None:
-        self.totals: Dict[str, float] = {}
-        self.counts: Dict[str, int] = {}
-
-    def record(self, label: str, seconds: float) -> None:
-        self.totals[label] = self.totals.get(label, 0.0) + seconds
-        self.counts[label] = self.counts.get(label, 0) + 1
-
-    def reset(self) -> None:
-        self.totals.clear()
-        self.counts.clear()
-
-    def report(self) -> List[str]:
-        lines = []
-        for label in sorted(self.totals):
-            total = self.totals[label]
-            n = self.counts[label]
-            lines.append(
-                f"{label} (REGION) {total:.6f} {n} {total / n:.6f}"
-            )
-        return lines
-
-
-#: Process-global kernel timer, drained by the benchmark harness.
-profiler = _RegionTimer()
-
-
-@contextmanager
-def profiling_region(label: str) -> Iterator[None]:
-    """Time a labelled region, like ``Kokkos::Profiling::pushRegion``."""
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        profiler.record(label, time.perf_counter() - t0)
 
 
 def _resolve(policy: Union[int, RangePolicy]) -> RangePolicy:
@@ -93,8 +51,7 @@ def parallel_for(
     """
     pol = _resolve(policy)
     exec_space = space or pol.space
-    with profiling_region(label):
-        exec_space.run(pol.begin, pol.end, functor)
+    exec_space.run(pol.begin, pol.end, functor)
 
 
 def parallel_reduce(
@@ -106,8 +63,7 @@ def parallel_reduce(
     """Sum ``functor(i)`` over the policy's range and return the total."""
     pol = _resolve(policy)
     exec_space = space or pol.space
-    with profiling_region(label):
-        return exec_space.reduce(pol.begin, pol.end, functor)
+    return exec_space.reduce(pol.begin, pol.end, functor)
 
 
 def parallel_scan(
@@ -124,15 +80,14 @@ def parallel_scan(
     functors written for Kokkos port directly.
     """
     pol = _resolve(policy)
-    with profiling_region(label):
-        running = 0.0
-        for i in range(pol.begin, pol.end):
-            running += functor(i, running, False)
-        total = running
-        running = 0.0
-        for i in range(pol.begin, pol.end):
-            running += functor(i, running, True)
-        return total
+    running = 0.0
+    for i in range(pol.begin, pol.end):
+        running += functor(i, running, False)
+    total = running
+    running = 0.0
+    for i in range(pol.begin, pol.end):
+        running += functor(i, running, True)
+    return total
 
 
 @dataclass
@@ -164,5 +119,4 @@ def parallel_for_md(
         for j in range(policy.begin1, policy.begin1 + extent1):
             functor(i, j)
 
-    with profiling_region(label):
-        policy.space.run(policy.begin0, policy.end0, row)
+    policy.space.run(policy.begin0, policy.end0, row)

@@ -19,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -44,7 +45,6 @@ from repro.runtime import (
     WorkerError,
     merge_snapshots,
 )
-from repro.runtime.coalescer import CoalescedBatch, SolveRequest
 from repro.runtime.resilience.faults import ENV_VAR, HOOK_SITES
 from repro.runtime.sharded import _backoff_delay
 from repro.runtime.shm import ShmError
@@ -312,39 +312,22 @@ class TestSupervisorPolicy:
 
 
 # ---------------------------------------------------------------------------
-# WorkerError context + shard ledger primitives
+# WorkerError context + telemetry event ring
 # ---------------------------------------------------------------------------
 
 
 def test_worker_error_context_survives_pickling():
     exc = WorkerError(
-        "shard lost", worker_id=3, key="plan-k", cols=(8, 16), attempt=2
+        "shard lost", worker_id=3, key="plan-k", cols=(8, 16), tenant="t1"
     )
     clone = pickle.loads(pickle.dumps(exc))
     assert isinstance(clone, WorkerError)
     assert clone.worker_id == 3
     assert clone.key == "plan-k"
     assert clone.cols == (8, 16)
-    assert clone.attempt == 2
+    assert clone.tenant == "t1"
     rendered = str(clone)
     assert "worker=3" in rendered and "cols=[8, 16)" in rendered
-
-
-def test_coalesced_batch_fill_restores_exact_columns():
-    reqs = [
-        SolveRequest(_rhs(1, seed=1)[:, 0]),  # 1-D request
-        SolveRequest(_rhs(3, seed=2)),  # 2-D request
-        SolveRequest(_rhs(1, seed=3)[:, 0]),
-    ]
-    batch = CoalescedBatch(reqs)
-    original = batch.assemble(np.float64)
-    block = original.copy()
-    block[:, 1:4] = np.nan  # a dead worker's half-written shard
-    batch.fill(block, 1, 4)
-    np.testing.assert_array_equal(block, original)
-    block[:] = -1.0
-    batch.fill(block, 0, batch.cols)  # full restore
-    np.testing.assert_array_equal(block, original)
 
 
 def test_telemetry_event_ring_is_bounded_and_merges():
@@ -467,112 +450,36 @@ class TestEngineFaults:
 
 
 # ---------------------------------------------------------------------------
-# Process-pool chaos: crashes, hangs, requeue, respawn, the full ladder
+# Process-pool chaos: lost shards, respawn, the full ladder
 # ---------------------------------------------------------------------------
 
 
-def _expected(blocks):
-    with SolveEngine(max_batch=64) as baseline:
-        return baseline.map_batches(SPEC, blocks)
+def _wait_for(condition, timeout: float = 30.0) -> None:
+    """Poll *condition* until it holds; fail at the deadline."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.005)
+
+
+def _shards_issued(telemetry: Telemetry) -> int:
+    series = telemetry.snapshot()["series"].get("sharded.shard_cols")
+    return 0 if series is None else series["count"]
 
 
 class TestProcessChaos:
-    def test_worker_crash_respawns_and_results_are_bitwise(self):
-        plan = FaultPlan(
-            [
-                FaultSpec(
-                    site="sharded.worker_solve",
-                    kind="crash",
-                    worker=0,
-                    after=1,
-                )
-            ]
-        )
-        blocks = [_rhs(8, seed=s) for s in range(6)]
-        expected = _expected(blocks)
-        with SolveEngine(
-            executor="processes",
-            num_workers=2,
-            faults=plan,
-            restart_budget=4,
-            max_batch=64,
-        ) as engine:
-            outs = engine.map_batches(SPEC, blocks)
-            # The respawn is asynchronous (death detection + backoff); a
-            # short run can finish on the survivor before it lands.
-            deadline = time.monotonic() + 15.0
-            while (
-                engine.telemetry.counter("supervisor.respawns") < 1
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.02)
-            # The healed pool keeps solving (and stays bitwise-exact).
-            outs2 = engine.map_batches(SPEC, blocks[:2])
-            snap = engine.telemetry_snapshot()
-        for out, ref in zip(outs + outs2, expected + expected[:2]):
-            np.testing.assert_array_equal(out, ref)
-        counters = snap["counters"]
-        assert counters["supervisor.worker_deaths"] >= 1
-        assert counters["supervisor.respawns"] >= 1
-        assert counters["sharded.requeued_shards"] >= 1
-        actions = [e["action"] for e in snap["events"]["supervisor"]]
-        assert "worker_death" in actions and "respawn" in actions
-
-    def test_campaign_1024_requests_with_two_killed_workers(self):
-        # The acceptance scenario: a seeded plan kills >= 2 workers in the
-        # middle of a 1024-request campaign; the coefficients must be
-        # bitwise identical to the fault-free run, and the telemetry must
-        # show the deaths, respawns and requeues that made that possible.
-        plan = FaultPlan(
-            [
-                FaultSpec(
-                    site="sharded.worker_solve", kind="crash", worker=0, after=3
-                ),
-                FaultSpec(
-                    site="sharded.worker_solve", kind="crash", worker=1, after=5
-                ),
-            ],
-            seed=42,
-        )
-        rng = np.random.default_rng(2024)
-        columns = rng.normal(size=(1024, N))
-        with SolveEngine(max_batch=128, max_linger=1e-3) as baseline:
-            futs = [baseline.submit(SPEC, col) for col in columns]
-            baseline.flush()
-            expected = [f.result(timeout=60) for f in futs]
-        with SolveEngine(
-            executor="processes",
-            num_workers=2,
-            faults=plan,
-            restart_budget=8,
-            max_batch=128,
-            max_linger=1e-3,
-        ) as engine:
-            futs = [engine.submit(SPEC, col) for col in columns]
-            engine.flush()
-            results = [f.result(timeout=120) for f in futs]
-            snap = engine.telemetry_snapshot()
-        for got, ref in zip(results, expected):
-            np.testing.assert_array_equal(got, ref)
-        counters = snap["counters"]
-        assert counters["supervisor.worker_deaths"] >= 2
-        assert counters["supervisor.respawns"] >= 2
-        assert counters["sharded.requeued_shards"] >= 2
-        assert counters["engine.requests_completed"] == 1024
-        assert counters.get("engine.requests_failed", 0) == 0
-
-    def test_sigkill_mid_solve_requeues_to_survivor(self):
-        # An external SIGKILL (not an injected crash) while the worker is
-        # inside its solve window: the supervisor requeues the shard and
-        # the caller still gets the right answer.
+    def test_lost_shard_names_its_worker_and_the_rank_respawns(self):
+        # An outside SIGKILL while a slow fault holds worker 0 inside its
+        # shard: the shard fails with its full context instead of being
+        # delivered again, the rank respawns, and the executor keeps
+        # solving bitwise right.
         plan = FaultPlan(
             [
                 FaultSpec(
                     site="sharded.worker_solve",
                     kind="slow",
                     worker=0,
-                    delay=2.0,
-                    times=None,
+                    delay=1.0,
                 )
             ]
         )
@@ -582,114 +489,47 @@ class TestProcessChaos:
         )
         try:
             key = PlanKey.from_spec(SPEC)
-            builder = key.make_builder()
             rhs = _rhs(8, seed=17)
-            expected = builder.solve(rhs)
+            expected = key.make_builder().solve(rhs)
             lease = executor.lease(rhs.shape, np.float64)
             try:
                 np.copyto(lease.array, rhs)
-                done = {}
+                errors = []
 
                 def run():
-                    executor.solve(
-                        key,
-                        lease,
-                        restore=lambda c0, c1: np.copyto(
-                            lease.array[:, c0:c1], rhs[:, c0:c1]
-                        ),
-                    )
-                    done["out"] = lease.array.copy()
+                    try:
+                        executor.solve(key, lease)
+                    except WorkerError as exc:
+                        errors.append(exc)
 
-                worker = threading.Thread(target=run)
-                worker.start()
-                time.sleep(0.4)  # worker 0 is asleep inside its shard
-                victim = next(
-                    p for p in executor._procs if p.name == "repro-shard-0"
-                )
+                caller = threading.Thread(target=run)
+                caller.start()
+                _wait_for(lambda: _shards_issued(telemetry) >= 2)
+                victim = executor._procs[0]
+                assert victim.name == "repro-shard-0"
                 os.kill(victim.pid, signal.SIGKILL)
-                worker.join(timeout=30)
-                assert not worker.is_alive()
+                caller.join(timeout=30)
+                assert not caller.is_alive()
             finally:
                 executor.release(lease)
-            np.testing.assert_array_equal(done["out"], expected)
-            counters = telemetry.snapshot()["counters"]
-            assert counters["supervisor.worker_deaths"] >= 1
-            assert counters["sharded.requeued_shards"] >= 1
-        finally:
-            executor.shutdown()
-
-    def test_hang_detection_terminates_and_requeues(self):
-        plan = FaultPlan(
-            [
-                FaultSpec(
-                    site="sharded.worker_solve",
-                    kind="hang",
-                    worker=0,
-                    delay=30.0,
-                )
-            ]
-        )
-        telemetry = Telemetry()
-        executor = ShardedExecutor(
-            num_workers=2, telemetry=telemetry, faults=plan, hang_timeout=0.3
-        )
-        try:
-            key = PlanKey.from_spec(SPEC)
-            builder = key.make_builder()
-            rhs = _rhs(6, seed=23)
-            expected = builder.solve(rhs)
+            (error,) = errors
+            assert error.worker_id == 0
+            assert error.key == key
+            assert error.cols in [(0, 4), (4, 8)]
+            assert f"cols=[{error.cols[0]}, {error.cols[1]})" in str(error)
+            _wait_for(lambda: telemetry.counter("supervisor.respawns") >= 1)
+            actions = [e["action"] for e in telemetry.events("supervisor")]
+            assert actions == ["worker_death", "respawn"]
             lease = executor.lease(rhs.shape, np.float64)
             try:
                 np.copyto(lease.array, rhs)
-                executor.solve(
-                    key,
-                    lease,
-                    restore=lambda c0, c1: np.copyto(
-                        lease.array[:, c0:c1], rhs[:, c0:c1]
-                    ),
-                )
-                out = lease.array.copy()
+                executor.solve(key, lease)
+                np.testing.assert_array_equal(lease.array, expected)
             finally:
                 executor.release(lease)
-            np.testing.assert_array_equal(out, expected)
-            counters = telemetry.snapshot()["counters"]
-            assert counters["supervisor.hangs"] >= 1
-            assert counters["sharded.requeued_shards"] >= 1
-            actions = [
-                e["action"] for e in telemetry.events("supervisor")
-            ]
-            assert "hang_kill" in actions
+            assert telemetry.counter("supervisor.worker_deaths") == 1
         finally:
             executor.shutdown()
-
-    def test_budget_exhaustion_degrades_to_threads(self):
-        plan = FaultPlan(
-            [
-                FaultSpec(site="sharded.worker_solve", kind="crash", worker=0),
-                FaultSpec(site="sharded.worker_solve", kind="crash", worker=1),
-            ]
-        )
-        blocks = [_rhs(4, seed=31)]
-        expected = _expected(blocks)
-        with SolveEngine(
-            executor="processes",
-            num_workers=2,
-            faults=plan,
-            restart_budget=0,
-            max_batch=64,
-        ) as engine:
-            outs = engine.map_batches(SPEC, blocks)
-            assert engine.degradation_level == "threads"
-            # Later work keeps flowing on the thread rung.
-            outs2 = engine.map_batches(SPEC, blocks)
-            snap = engine.telemetry_snapshot()
-        np.testing.assert_array_equal(outs[0], expected[0])
-        np.testing.assert_array_equal(outs2[0], expected[0])
-        counters = snap["counters"]
-        assert counters["engine.degraded_to_threads"] == 1
-        assert counters["supervisor.budget_exhausted"] >= 1
-        assert snap["degradation"]["level"] == "threads"
-        assert snap["degradation"]["pool_exhausted"] is True
 
     def test_full_ladder_processes_threads_serial(self):
         plan = FaultPlan(
@@ -700,7 +540,7 @@ class TestProcessChaos:
             ]
         )
         blocks = [_rhs(4, seed=37)]
-        expected = _expected(blocks)
+        expected = [SplineBuilder(SPEC).solve(blocks[0])]
         rhs1 = _rhs(1, seed=41)[:, 0]
         with SolveEngine(
             executor="processes",
@@ -752,49 +592,85 @@ class TestProcessChaos:
             executor.shutdown()
 
 
-#: the faults of each processes-engine rung: none, one failed shared-memory
-#: lease (that batch solves locally), and every worker crashing with no
-#: restart budget (the engine degrades to threads)
+#: fault plans for the processes engine: none, one failed shared-memory
+#: lease (that batch solves locally), one worker crashing mid-stream, both
+#: workers crashing, a hang killed at ``hang_timeout``, an outside SIGKILL
+#: while a slow fault holds worker 0's shard, and every worker crashing
+#: with no restart budget (the engine degrades to threads).  Worker-side
+#: specs count visits per process, so a respawned worker faults again.
 _LADDER_FAULTS = {
     "clean": [],
     "shm_acquire": [FaultSpec(site="shm.acquire", error="shm")],
+    "crash_one": [
+        FaultSpec(site="sharded.worker_solve", kind="crash", worker=0, after=1)
+    ],
+    "crash_both": [
+        FaultSpec(site="sharded.worker_solve", kind="crash", worker=0, after=1),
+        FaultSpec(site="sharded.worker_solve", kind="crash", worker=1, after=1),
+    ],
+    "hang": [
+        FaultSpec(site="sharded.worker_solve", kind="hang", worker=0, delay=30.0)
+    ],
+    "sigkill": [
+        FaultSpec(site="sharded.worker_solve", kind="slow", worker=0, delay=1.0)
+    ],
     "pool_exhausted": [
         FaultSpec(site="sharded.worker_solve", kind="crash", worker=0),
         FaultSpec(site="sharded.worker_solve", kind="crash", worker=1),
     ],
 }
+#: the plans under which a worker dies holding a shard
+_LOSES_SHARDS = {"crash_one", "crash_both", "hang", "sigkill", "pool_exhausted"}
 
 
 @pytest.mark.parametrize("entry", ["submit", "map_batches"])
 @pytest.mark.parametrize("fault", sorted(_LADDER_FAULTS))
 def test_ladder_parity(fault, entry):
-    """Every rung answers bitwise like a direct solve, and drops nothing."""
+    """Under every fault plan the engine answers bitwise like the threads
+    engine, drops and quarantines nothing, retries exactly when a shard
+    was lost, and degrades only when the pool is exhausted."""
     rhs = _rhs(12, seed=71)
-    expected = SplineBuilder(SPEC).solve(rhs)
-    with SolveEngine(
-        executor="processes",
+    config = dict(
         num_workers=2,
-        faults=FaultPlan(_LADDER_FAULTS[fault]),
-        restart_budget=0,
         max_batch=rhs.shape[1],  # the 12th submit cuts the one batch
         max_linger=60.0,
+    )
+
+    def solve_all(engine) -> np.ndarray:
+        if entry == "map_batches":
+            return engine.map_batches(SPEC, [rhs])[0]
+        futures = [engine.submit(SPEC, col) for col in rhs.T]
+        return np.stack([f.result(timeout=60) for f in futures], axis=1)
+
+    with SolveEngine(executor="threads", **config) as reference:
+        expected = solve_all(reference)
+    with SolveEngine(
+        executor="processes",
+        faults=FaultPlan(_LADDER_FAULTS[fault]),
+        restart_budget=0 if fault == "pool_exhausted" else 8,
+        hang_timeout=0.5 if fault == "hang" else None,
+        **config,
     ) as engine:
-
-        def solve_all() -> np.ndarray:
-            if entry == "map_batches":
-                return engine.map_batches(SPEC, [rhs])[0]
-            futures = [engine.submit(SPEC, col) for col in rhs.T]
-            return np.stack([f.result(timeout=60) for f in futures], axis=1)
-
-        np.testing.assert_array_equal(solve_all(), expected)
+        with ThreadPoolExecutor(max_workers=1) as caller:
+            first = caller.submit(solve_all, engine)
+            if fault == "sigkill":
+                _wait_for(lambda: _shards_issued(engine.telemetry) >= 2)
+                os.kill(engine._sharded._procs[0].pid, signal.SIGKILL)
+            np.testing.assert_array_equal(first.result(timeout=60), expected)
         blocks = engine.telemetry.counter("sharded.blocks")
-        np.testing.assert_array_equal(solve_all(), expected)
+        np.testing.assert_array_equal(solve_all(engine), expected)
         counters = engine.telemetry.snapshot()["counters"]
         if fault == "pool_exhausted":
             assert engine.degradation_level == "threads"
             assert counters["engine.degraded_to_threads"] == 1
+            assert counters["supervisor.budget_exhausted"] == 1
+            assert engine.telemetry_snapshot()["degradation"] == {
+                "level": "threads",
+                "pool_exhausted": True,
+            }
         else:
-            # the batch after a failed lease rides shared memory again
+            # the batch after a failed lease or a lost shard rides shared
+            # memory again
             assert engine.degradation_level == "processes"
             assert counters["sharded.blocks"] > blocks
             assert counters.get("engine.shm_fallbacks", 0) == (
@@ -805,6 +681,9 @@ def test_ladder_parity(fault, entry):
     )
     assert submitted == counters["engine.requests_completed"]
     assert counters.get("engine.quarantined", 0) == 0
+    retried = counters.get("engine.request_retries", 0) > 0
+    assert retried == (fault in _LOSES_SHARDS)
+    assert (counters.get("supervisor.hangs", 0) > 0) == (fault == "hang")
 
 
 # ---------------------------------------------------------------------------

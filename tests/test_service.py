@@ -13,12 +13,14 @@ telemetry the service feeds.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import math
 import socket
 import struct
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +304,27 @@ class TestEndToEndParity:
             with ServiceClient(hosted.host, hosted.port, hedge_delay=0) as client:
                 got = client.solve(SPEC, rhs, timeout=60.0)
         assert got.tobytes() == expected.tobytes()
+
+    def test_stop_closes_every_transport(self, rng):
+        # The service stops while the client is still connected.  A
+        # transport still closing when the service loop stops is never
+        # closed; its socket then leaks until garbage collection, which
+        # reports it as a ResourceWarning.
+        def solve_once():
+            hosted = ServiceThread(SolveEngine(), own_engine=True).start()
+            client = ServiceClient(hosted.host, hosted.port, hedge_delay=0)
+            try:
+                client.solve(SPEC, rng.standard_normal(N), timeout=30.0)
+            finally:
+                hosted.stop()
+                client.close()
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve_once()  # drops every reference to the service and client
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_many_pipelined_requests_one_connection(self, hosted_service, rng):
         rhs = [rng.standard_normal((N, c)) for c in (1, 3, 5, 2, 4)]
@@ -601,31 +624,31 @@ class _ScriptedServer:
 
     def _run(self):
         conn, _ = self.sock.accept()
-        try:
-            while True:
-                ftype, _flags, payload = protocol.read_frame(conn)
-                self.frames.append(ftype)
-                if ftype == protocol.FrameType.CANCEL:
-                    self.cancelled.append(protocol.decode_cancel(payload))
-                    continue
-                if ftype != protocol.FrameType.REQUEST:
-                    continue
-                request = protocol.decode_request(payload)
-                coeffs = np.full(request.rhs.shape, float(request.id))
-                if self._first is None:
-                    self._first = (request.id, coeffs)
-                    continue  # stall: no reply for the original send
-                protocol.write_frame(
-                    conn, protocol.encode_result(request.id, coeffs)
-                )
-                if self._release_first.wait(5.0) and self._first is not None:
-                    rid, held = self._first
-                    protocol.write_frame(
-                        conn, protocol.encode_result(rid, held)
-                    )
-                    self._first = None
-        except (ConnectionError, OSError):
-            pass
+        with conn:
+            try:
+                self._serve(conn)
+            except (ConnectionError, OSError):
+                pass
+
+    def _serve(self, conn):
+        while True:
+            ftype, _flags, payload = protocol.read_frame(conn)
+            self.frames.append(ftype)
+            if ftype == protocol.FrameType.CANCEL:
+                self.cancelled.append(protocol.decode_cancel(payload))
+                continue
+            if ftype != protocol.FrameType.REQUEST:
+                continue
+            request = protocol.decode_request(payload)
+            coeffs = np.full(request.rhs.shape, float(request.id))
+            if self._first is None:
+                self._first = (request.id, coeffs)
+                continue  # stall: no reply for the original send
+            protocol.write_frame(conn, protocol.encode_result(request.id, coeffs))
+            if self._release_first.wait(5.0) and self._first is not None:
+                rid, held = self._first
+                protocol.write_frame(conn, protocol.encode_result(rid, held))
+                self._first = None
 
     def release_first(self):
         self._release_first.set()

@@ -20,7 +20,6 @@ from repro.xspace import (
     subview,
 )
 from repro.xspace.layout import with_layout
-from repro.xspace.parallel import profiler, profiling_region
 
 
 class TestLayout:
@@ -214,14 +213,3 @@ class TestParallelDispatch:
         parallel_for_md("md", policy, lambda i, j: out.__setitem__((i, j), i * j))
         expected = np.arange(8)[:, None] * np.arange(8)[None, :]
         np.testing.assert_array_equal(out, expected)
-
-    def test_profiler_records_regions(self):
-        profiler.reset()
-        with profiling_region("outer"):
-            parallel_for("inner", 3, lambda i: None)
-        assert "outer" in profiler.totals
-        assert profiler.counts["inner"] == 1
-        report = profiler.report()
-        assert any("inner" in line for line in report)
-        profiler.reset()
-        assert not profiler.totals
