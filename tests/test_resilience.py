@@ -531,6 +531,35 @@ class TestProcessChaos:
         finally:
             executor.shutdown()
 
+    def test_budget_exhaustion_degrades_to_threads(self):
+        plan = FaultPlan(
+            [
+                FaultSpec(site="sharded.worker_solve", kind="crash", worker=0),
+                FaultSpec(site="sharded.worker_solve", kind="crash", worker=1),
+            ]
+        )
+        blocks = [_rhs(4, seed=31)]
+        expected = [SplineBuilder(SPEC).solve(blocks[0])]
+        with SolveEngine(
+            executor="processes",
+            num_workers=2,
+            faults=plan,
+            restart_budget=0,
+            max_batch=64,
+        ) as engine:
+            outs = engine.map_batches(SPEC, blocks)
+            assert engine.degradation_level == "threads"
+            # Later work keeps flowing on the thread rung.
+            outs2 = engine.map_batches(SPEC, blocks)
+            snap = engine.telemetry_snapshot()
+        np.testing.assert_array_equal(outs[0], expected[0])
+        np.testing.assert_array_equal(outs2[0], expected[0])
+        counters = snap["counters"]
+        assert counters["engine.degraded_to_threads"] == 1
+        assert counters["supervisor.budget_exhausted"] >= 1
+        assert snap["degradation"]["level"] == "threads"
+        assert snap["degradation"]["pool_exhausted"] is True
+
     def test_full_ladder_processes_threads_serial(self):
         plan = FaultPlan(
             [
