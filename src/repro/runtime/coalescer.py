@@ -52,9 +52,7 @@ class SolveRequest:
     resolves to the coefficients with the same shape as ``rhs``.
     ``tenant`` (any hashable; ``None`` — anonymous) is the submitter key
     the coalescer round-robins across and the label per-tenant telemetry
-    attributes to; ``priority`` is carried for the admission layer
-    (:mod:`repro.service.admission`) — the coalescer itself is
-    priority-blind, ordering is decided before requests reach it.
+    attributes to.
     """
 
     __slots__ = (
@@ -64,7 +62,6 @@ class SolveRequest:
         "enqueued_at",
         "deadline",
         "tenant",
-        "priority",
         "seq",
     )
 
@@ -75,7 +72,6 @@ class SolveRequest:
         rhs: np.ndarray,
         deadline: Optional[float] = None,
         tenant=None,
-        priority: Optional[str] = None,
     ) -> None:
         rhs = np.asarray(rhs)
         if rhs.ndim not in (1, 2):
@@ -88,7 +84,6 @@ class SolveRequest:
         self.enqueued_at = time.perf_counter()
         self.deadline = deadline
         self.tenant = tenant
-        self.priority = priority
         self.seq = next(SolveRequest._seq_counter)
 
     @property

@@ -760,7 +760,6 @@ class SolveEngine:
         backend: str = "vectorized",
         timeout: Optional[float] = None,
         tenant=None,
-        priority: Optional[str] = None,
     ) -> Future:
         """Queue one right-hand side for a coalesced solve.
 
@@ -777,9 +776,6 @@ class SolveEngine:
         under ``telemetry_snapshot()["tenants"]``, and failures carry the
         label out (:class:`~repro.runtime.sharded.WorkerError.tenant`).
         ``None`` (the default) opts out of all of it at zero cost.
-        *priority* is carried on the request for admission layers
-        (:mod:`repro.service.admission`); the engine itself does not
-        reorder on it.
 
         Non-NumPy right-hand sides (or a non-NumPy ``backend_ns``) are
         converted to host NumPy for transport; the future then resolves
@@ -811,9 +807,7 @@ class SolveEngine:
                 f"match the {builder.n} basis functions of {spec}"
             )
         deadline = time.perf_counter() + timeout if timeout is not None else None
-        request = SolveRequest(
-            rhs, deadline=deadline, tenant=tenant, priority=priority
-        )
+        request = SolveRequest(rhs, deadline=deadline, tenant=tenant)
         self._acquire(request.cols)
         self.telemetry.incr("engine.requests_submitted")
         self._tenant_incr(tenant, "requests_submitted")

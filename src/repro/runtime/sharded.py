@@ -39,7 +39,9 @@ every ``_POLL_INTERVAL`` seconds:
   bitwise identically, because the batched kernels treat columns
   independently;
 * the rank respawns under exponential backoff with seeded jitter,
-  bounded by a pool-wide ``restart_budget``.  Once the budget is spent
+  bounded by a pool-wide ``restart_budget``.  The backoff is a due time
+  a later sweep honours, so the monitor keeps watching the other ranks
+  meanwhile.  Once the budget is spent
   the pool is :attr:`~ShardedExecutor.exhausted`, and the engine steps
   down its degradation ladder (processes → threads).
 
@@ -407,6 +409,8 @@ class ShardedExecutor:
         self._hang_timeout = hang_timeout
         self._restarts_left = int(restart_budget)
         self._respawn_attempts: Dict[int, int] = {}
+        #: rank -> (monotonic due time, backoff) of its pending respawn
+        self._respawn_due: Dict[int, Tuple[float, float]] = {}
         self._rng = random.Random(_JITTER_SEED)
         self._exhausted = False
         self._ctx = mp.get_context(DEFAULT_START_METHOD)
@@ -615,9 +619,28 @@ class ShardedExecutor:
         for rank in range(self.num_workers):
             if self._live[rank] and not self._procs[rank].is_alive():
                 self._handle_death(rank)
+        now = time.monotonic()
+        for rank, (due, delay) in list(self._respawn_due.items()):
+            if now < due:
+                continue
+            del self._respawn_due[rank]
+            if self._respawn(rank):
+                attempt = self._respawn_attempts[rank]
+                self.telemetry.incr("supervisor.respawns")
+                self.telemetry.event(
+                    "supervisor",
+                    action="respawn",
+                    rank=rank,
+                    attempt=attempt,
+                    backoff=delay,
+                )
+                _LOG.warning(
+                    "worker %d respawned (attempt %d, backoff %.3fs)",
+                    rank, attempt, delay,
+                )
 
     def _handle_death(self, rank: int) -> None:
-        """Fail dead *rank*'s in-flight shards, then respawn it.
+        """Fail dead *rank*'s in-flight shards, then schedule its respawn.
 
         Runs only once the process is gone (``is_alive()`` reaped it, or
         :meth:`_terminate_worker` joined it), so no failed shard's
@@ -666,22 +689,7 @@ class ShardedExecutor:
         attempt = self._respawn_attempts.get(rank, 0)
         self._respawn_attempts[rank] = attempt + 1
         delay = _backoff_delay(attempt, self._rng)
-        # Wait on the stop event so shutdown interrupts the backoff.
-        if self._stop_monitor.wait(timeout=delay) or self._closed:
-            return
-        if self._respawn(rank):
-            self.telemetry.incr("supervisor.respawns")
-            self.telemetry.event(
-                "supervisor",
-                action="respawn",
-                rank=rank,
-                attempt=attempt + 1,
-                backoff=delay,
-            )
-            _LOG.warning(
-                "worker %d respawned (attempt %d, backoff %.3fs)",
-                rank, attempt + 1, delay,
-            )
+        self._respawn_due[rank] = (time.monotonic() + delay, delay)
 
     def _terminate_worker(self, rank: int) -> None:
         """Kill *rank* now (hang remediation) and wait until it is dead.
@@ -840,8 +848,8 @@ class ShardedExecutor:
             if self._closed:
                 return
         # The monitor goes first, so a worker we stop on purpose is not
-        # "healed" back into existence mid-shutdown; a pending respawn's
-        # backoff wait ends on the stop event.
+        # "healed" back into existence mid-shutdown; respawns still in
+        # their backoff are dropped with it.
         self._stop_monitor.set()
         self._monitor.join(timeout=2.0 * timeout)
         # The stop message doubles as the final snapshot request.

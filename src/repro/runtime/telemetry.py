@@ -309,7 +309,6 @@ def render_tenant_table(tenants: dict, title: str = "Per-tenant telemetry") -> s
             "rejected",
             "timed_out",
             "quarantined",
-            "hedges",
             "p50 lat (s)",
             "p99 lat (s)",
         ],
@@ -326,7 +325,6 @@ def render_tenant_table(tenants: dict, title: str = "Per-tenant telemetry") -> s
             counters.get("requests_rejected", 0),
             counters.get("requests_timed_out", 0),
             counters.get("requests_quarantined", 0),
-            counters.get("hedges", 0),
             latency.get("p50", float("nan")),
             latency.get("p99", float("nan")),
         )

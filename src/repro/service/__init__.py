@@ -1,11 +1,12 @@
 """repro.service — serve spline solves over the network.
 
 Layer on top of the runtime engine: a compact binary wire protocol
-(:mod:`~repro.service.protocol`), an asyncio TCP server with per-tenant
-admission control and fair-share dispatch (:mod:`~repro.service.server`,
-:mod:`~repro.service.admission`), and a client with hedged sends and
-throttle retries (:mod:`~repro.service.client`) whose futures asyncio
-callers await through ``asyncio.wrap_future``.
+(:mod:`~repro.service.protocol`), an asyncio TCP server that admits each
+request through per-tenant quotas and hands it straight to the engine
+(:mod:`~repro.service.server`, :mod:`~repro.service.admission`), and a
+client with hedged sends and throttle retries
+(:mod:`~repro.service.client`) whose futures asyncio callers await
+through ``asyncio.wrap_future``.
 
 Quick start::
 
@@ -20,7 +21,6 @@ Quick start::
 
 from repro.service.admission import (
     AdmissionController,
-    FairShareQueue,
     QuotaExceededError,
     TenantQuota,
     ThrottledError,
@@ -32,7 +32,6 @@ from repro.service.server import ServiceConfig, ServiceThread, SolveService, ser
 
 __all__ = [
     "AdmissionController",
-    "FairShareQueue",
     "QuotaExceededError",
     "TenantQuota",
     "ThrottledError",

@@ -1,30 +1,21 @@
-"""Multi-tenant admission control — quotas, priorities, fair share.
+"""Multi-tenant admission control — per-tenant quotas at the door.
 
 The engine under the service already has *global* safety valves
 (backpressure, deadlines, a circuit breaker); what it cannot do is tell
-tenants apart.  This module adds the *who* dimension in three pieces:
-
+tenants apart.  This module adds the *who* dimension:
 :class:`TokenBucket` / :class:`TenantQuota` / :class:`AdmissionController`
-    Per-tenant rate limiting in columns per second.  Each tenant owns a
-    token bucket (``rate`` columns/s refill, ``burst`` columns capacity);
-    a request that cannot afford its column cost is rejected **at the
-    door** with a ``retry_after`` hint, before any engine work — the
-    service maps this to a ``THROTTLED`` error frame.  A hot tenant is
-    therefore throttled to its quota no matter how fast it sends.
+rate-limit each tenant in columns per second.  Each tenant owns a token
+bucket (``rate`` columns/s refill, ``burst`` columns capacity); a request
+that cannot afford its column cost is rejected **at the door** with a
+``retry_after`` hint, before any engine work — the service maps this to
+a ``THROTTLED`` error frame.  A hot tenant is therefore throttled to its
+quota no matter how fast it sends.  Fair sharing of engine capacity
+among admitted requests is the coalescer's job: it round-robins batch
+slots across tenants.
 
-:class:`FairShareQueue`
-    Deficit round-robin (DRR) dispatch ordering across the *admitted*
-    requests.  Priority classes are strict — every queued
-    ``interactive`` request dispatches before any ``normal``, which beats
-    any ``batch`` — and within a class each tenant accumulates deficit
-    (``quantum`` columns per round-robin turn) and may dispatch requests
-    while its deficit covers their column cost.  Cost-aware
-    deficits are what make one tenant's *wide* requests count against it:
-    fairness is in columns, the unit the engine's batches are made of.
-
-Both pieces are clock-injectable (``clock=``) so tests drive them
-deterministically, and both are plain data structures — the asyncio
-server wraps them, they do not know about sockets or the engine.
+The controller is clock-injectable (``clock=``) so tests drive it
+deterministically, and it is a plain data structure — the asyncio server
+wraps it; it does not know about sockets or the engine.
 """
 
 from __future__ import annotations
@@ -32,27 +23,18 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.exceptions import ReproError
 
 __all__ = [
-    "PRIORITIES",
-    "DEFAULT_PRIORITY",
     "TokenBucket",
     "TenantQuota",
     "AdmissionController",
     "ThrottledError",
     "QuotaExceededError",
-    "FairShareQueue",
 ]
-
-#: priority classes in dispatch order: lower rank dispatches first
-PRIORITIES: Dict[str, int] = {"interactive": 0, "normal": 1, "batch": 2}
-
-DEFAULT_PRIORITY = "normal"
 
 
 class ThrottledError(ReproError, RuntimeError):
@@ -212,105 +194,3 @@ class AdmissionController:
             tenant=tenant,
         )
 
-
-class FairShareQueue:
-    """Strict-priority, deficit-round-robin dispatch queue.
-
-    Items are pushed with ``(tenant, priority, cost)`` and popped in the
-    order the service should hand them to the engine:
-
-    1. priority classes are strict — any queued item of a higher class
-       (lower :data:`PRIORITIES` rank) dispatches first;
-    2. within a class, tenants are served round-robin; each visit tops a
-       tenant's deficit up by ``quantum`` columns, and the tenant
-       dispatches queued items (FIFO) while the deficit covers their
-       cost.  Deficit persists across turns — a wide request is
-       eventually affordable — and resets when the tenant's queue
-       empties, so idle tenants cannot bank credit.
-
-    Not thread-safe by itself; the asyncio server owns it from one loop
-    (the sync tests drive it directly).
-    """
-
-    def __init__(self, quantum: float = 64.0) -> None:
-        if quantum <= 0:
-            raise ValueError(f"quantum must be > 0, got {quantum}")
-        self.quantum = float(quantum)
-        # class rank -> (ring of tenant keys, tenant -> FIFO of (cost, item))
-        self._classes: Dict[int, Tuple[Deque[str], "OrderedDict[str, Deque]"]] = {}
-        self._deficits: Dict[Tuple[int, str], float] = {}
-        # rank -> tenant currently mid-visit at the ring head (already
-        # topped up; drains without further refill until it rotates)
-        self._visiting: Dict[int, Optional[str]] = {}
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def _rank(self, priority: str) -> int:
-        try:
-            return PRIORITIES[priority]
-        except KeyError:
-            raise ValueError(
-                f"unknown priority {priority!r}; expected one of "
-                f"{sorted(PRIORITIES)}"
-            ) from None
-
-    def push(self, item, tenant: str, priority: str, cost: float) -> None:
-        """Queue *item* for dispatch under (*tenant*, *priority*)."""
-        rank = self._rank(priority)
-        entry = self._classes.get(rank)
-        if entry is None:
-            entry = self._classes[rank] = (deque(), OrderedDict())
-        ring, queues = entry
-        queue = queues.get(tenant)
-        if queue is None:
-            queue = queues[tenant] = deque()
-            ring.append(tenant)
-        queue.append((max(0.0, float(cost)), item))
-        self._size += 1
-
-    def pop(self):
-        """The next item in fair-share order, or ``None`` when empty."""
-        for rank in sorted(self._classes):
-            ring, queues = self._classes[rank]
-            if not ring:
-                continue
-            # DRR: arriving at the ring head earns one quantum top-up;
-            # the tenant then drains FIFO while the deficit
-            # covers head costs (it stays "visiting" across pop calls,
-            # with no further refill) and rotates away when it cannot
-            # afford its next item.  A cost above the quantum just
-            # takes several arrivals — deficit persists across turns.
-            while True:
-                tenant = ring[0]
-                queue = queues[tenant]
-                key = (rank, tenant)
-                if self._visiting.get(rank) != tenant:
-                    self._deficits[key] = self._deficits.get(key, 0.0) + self.quantum
-                    self._visiting[rank] = tenant
-                cost, item = queue[0]
-                if self._deficits[key] >= cost:
-                    queue.popleft()
-                    self._deficits[key] -= cost
-                    self._size -= 1
-                    if not queue:
-                        # Emptied: forget the deficit so credit does not
-                        # bank across idle periods.
-                        self._deficits.pop(key, None)
-                        self._visiting[rank] = None
-                        ring.popleft()
-                        del queues[tenant]
-                    return item
-                self._visiting[rank] = None
-                ring.rotate(-1)
-        return None
-
-    def drain(self) -> List:
-        """Every queued item, highest priority first, fair-share within."""
-        items = []
-        while True:
-            item = self.pop()
-            if item is None:
-                return items
-            items.append(item)

@@ -176,7 +176,6 @@ class ServiceClient:
         dtype: str = "float64",
         backend: str = "vectorized",
         tenant: str = "anonymous",
-        priority: str = "normal",
         timeout: Optional[float] = None,
     ) -> Future:
         """Send one solve; the future resolves to the coefficient array."""
@@ -193,7 +192,6 @@ class ServiceClient:
             dtype=str(np.dtype(dtype)),
             backend=backend,
             tenant=tenant,
-            priority=priority,
             deadline=timeout,
         )
         future: Future = Future()

@@ -29,9 +29,11 @@ values the client held.  Control payloads (:data:`FrameType.ERROR`,
 Request metadata carries the full :class:`~repro.runtime.plan_cache.PlanKey`
 spec — the frozen :class:`~repro.core.spec.BSplineSpec` fields plus
 version / dtype / backend — and the multi-tenant envelope: tenant id,
-priority class, per-request deadline (relative seconds), and the
-client-chosen request id responses are matched on, which is what lets
-responses return out of order (and hedged duplicates be told apart).
+per-request deadline (relative seconds), and the client-chosen request
+id responses are matched on, which is what lets responses return out of
+order (and hedged duplicates be told apart).  The decoder ignores
+metadata keys it does not read, so a peer may send extra keys without a
+version bump.
 """
 
 from __future__ import annotations
@@ -101,10 +103,10 @@ HEADER_SIZE = HEADER.size
 class FrameType(IntEnum):
     """What a frame's payload means."""
 
-    REQUEST = 1  #: (spec, RHS, tenant, priority, deadline) solve request
+    REQUEST = 1  #: (spec, RHS, tenant, deadline) solve request
     RESULT = 2  #: solved coefficients for one request id
     ERROR = 3  #: structured failure for one request id (or the connection)
-    CANCEL = 4  #: drop a queued/hedged request id, no response owed
+    CANCEL = 4  #: drop a pending (e.g. hedged) request id, no response owed
     TELEMETRY_REQ = 5  #: ask the server for its telemetry snapshot
     TELEMETRY = 6  #: the snapshot, as JSON
     PING = 7  #: liveness probe
@@ -160,7 +162,6 @@ class Request:
     dtype: str = "float64"
     backend: str = "vectorized"
     tenant: str = "anonymous"
-    priority: str = "normal"
     deadline: Optional[float] = None  #: relative seconds, not a wall time
 
     @property
@@ -287,7 +288,6 @@ def encode_request(req: Request) -> bytes:
         "dtype": str(req.dtype),
         "backend": str(req.backend),
         "tenant": str(req.tenant),
-        "priority": str(req.priority),
         "deadline": req.deadline,
         "array_shape": list(req.rhs.shape),
         "array_dtype": req.rhs.dtype.str,  # byte order included: bitwise
@@ -306,7 +306,6 @@ def decode_request(payload: bytes) -> Request:
             dtype=str(meta.get("dtype", "float64")),
             backend=str(meta.get("backend", "vectorized")),
             tenant=str(meta.get("tenant", "anonymous")),
-            priority=str(meta.get("priority", "normal")),
             deadline=meta.get("deadline"),
         )
     except (KeyError, TypeError, ValueError) as exc:

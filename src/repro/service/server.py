@@ -9,22 +9,24 @@ and serves the :mod:`repro.service.protocol` framing over TCP:
 * every decoded REQUEST passes :class:`~repro.service.admission.
   AdmissionController` first (over-quota tenants bounce with a
   ``THROTTLED`` error frame and a ``retry_after`` hint, costing the
-  engine nothing), then queues in a :class:`~repro.service.admission.
-  FairShareQueue` so dispatch order honours priority classes and
-  deficit round-robin fair share across tenants;
-* a single dispatcher task pops the fair-share queue and bridges onto
-  ``engine.submit()`` via the service's own thread pool — ``submit()``
-  blocks while the engine's in-flight budget is full and must stall
-  neither the loop nor the loop's shared default executor — then chains the
-  returned :class:`concurrent.futures.Future` back into the loop with
-  ``asyncio.wrap_future``;
+  engine nothing) and the ``max_queued`` bound on the requests the
+  service holds (beyond it: ``BACKPRESSURE``);
+* an admitted request goes straight to its own dispatch task, which
+  bridges onto ``engine.submit()`` via the service's own thread pool —
+  ``submit()`` blocks while the engine's in-flight budget is full and
+  must stall neither the loop nor the loop's shared default executor —
+  then chains the returned :class:`concurrent.futures.Future` back into
+  the loop with ``asyncio.wrap_future``.  Ordering and fair share are
+  the engine's: its coalescer round-robins batch slots across tenants;
 * responses carry the request's wire id, which is client-chosen and
-  therefore scoped *per connection* (pending requests and CANCELs are
-  keyed by ``(connection, id)``), so a client may pipeline requests and
-  receive results out of order;
-* shutdown is a graceful drain: stop accepting, fail still-queued
-  requests with ``SHUTDOWN`` error frames, wait for in-flight solves,
-  then close the engine (when the service owns it).
+  therefore scoped *per connection*: the held requests — admitted, not
+  yet answered — are keyed by ``(connection, id)``, so a client may
+  pipeline requests and receive results out of order, and a CANCEL
+  reaches only its own connection's request;
+* shutdown is a graceful drain: stop accepting, give the held requests
+  ``drain_timeout`` seconds to be answered, close the connections and
+  wait for their handlers, then close the engine (when the service owns
+  it).
 
 :class:`ServiceThread` hosts a service on a background thread with its
 own event loop — ``serve()``, the benchmarks and the tests all use it so
@@ -54,8 +56,6 @@ from repro.runtime.resilience.circuit import CircuitOpenError
 from repro.service import protocol
 from repro.service.admission import (
     AdmissionController,
-    FairShareQueue,
-    PRIORITIES,
     QuotaExceededError,
     ThrottledError,
 )
@@ -67,6 +67,12 @@ logger = logging.getLogger("repro.service")
 #: seconds a closing connection may take to close its transport
 _CLOSE_TIMEOUT = 1.0
 
+#: threads in the service's own dispatch pool bridging the (possibly
+#: blocking) ``engine.submit()`` calls — the asyncio *default* executor is
+#: deliberately not used, so submits parked on a full engine cannot
+#: starve other users of the loop
+_DISPATCH_WORKERS = 32
+
 
 @dataclass
 class ServiceConfig:
@@ -74,22 +80,16 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  #: 0 = ephemeral; read the bound port off ``service.port``
-    #: fair-share scheduling quantum in columns (see FairShareQueue)
-    quantum: float = 64.0
-    #: seconds the drain phase waits for in-flight solves before giving up
+    #: seconds the drain phase waits for held requests to be answered
     drain_timeout: float = 10.0
-    #: cap on requests queued in the fair-share stage (0 = unbounded);
-    #: beyond it requests bounce with BACKPRESSURE instead of queueing
+    #: cap on the requests the service holds — admitted and not yet
+    #: answered (0 = unbounded); beyond it requests bounce with
+    #: BACKPRESSURE
     max_queued: int = 4096
     #: per-frame payload cap enforced from the header, *before* the body
     #: is read — an over-quota client cannot force large allocations;
     #: size it to the largest plausible RHS (default 64 MiB)
     max_payload: int = 64 << 20
-    #: threads in the service's own dispatch pool bridging the (possibly
-    #: blocking) ``engine.submit()`` calls — the asyncio *default*
-    #: executor is deliberately not used, so submits parked on a full
-    #: engine cannot starve other users of the loop
-    dispatch_workers: int = 32
     admission: Optional[AdmissionController] = None
 
     def __post_init__(self) -> None:
@@ -99,10 +99,6 @@ class ServiceConfig:
             raise ValueError(
                 f"max_payload must be in (0, {protocol.MAX_PAYLOAD}], "
                 f"got {self.max_payload}"
-            )
-        if self.dispatch_workers <= 0:
-            raise ValueError(
-                f"dispatch_workers must be > 0, got {self.dispatch_workers}"
             )
 
 
@@ -160,16 +156,28 @@ class _Connection:
                 self.closed = True
 
 
-class _Pending:
-    """One admitted request travelling queue → engine → response."""
+class _Held:
+    """One admitted request, held from admission until its answer is sent.
 
-    __slots__ = ("conn", "request", "cancelled", "future")
+    ``cancelled`` (a CANCEL, or the connection hung up) means no answer
+    is owed; ``future`` is the engine's, once ``submit()`` returned;
+    ``task`` is the dispatch task carrying the request to its answer.
+    """
+
+    __slots__ = ("conn", "request", "cancelled", "future", "task")
 
     def __init__(self, conn: _Connection, request: protocol.Request) -> None:
         self.conn = conn
         self.request = request
         self.cancelled = False
         self.future: Optional[concurrent.futures.Future] = None
+        self.task: Optional[asyncio.Task] = None
+
+    def cancel(self) -> None:
+        """Owe no answer; a cancelled engine future ends the dispatch task."""
+        self.cancelled = True
+        if self.future is not None:
+            self.future.cancel()
 
 
 class SolveService:
@@ -198,22 +206,19 @@ class SolveService:
                     loaded,
                     engine.plan_store.root,
                 )
-        self.queue = FairShareQueue(quantum=self.config.quantum)
         self._server: Optional[asyncio.base_events.Server] = None
         # Wire ids are client-chosen and only unique *per connection*
-        # (every client numbers from 1), so pending requests are keyed
-        # by (connection, wire id) — one tenant's CANCEL or id reuse
-        # must never touch another connection's requests.
-        self._queued_ids: Dict[Tuple[_Connection, int], _Pending] = {}
+        # (every client numbers from 1), so held requests are keyed by
+        # (connection, wire id) — one tenant's CANCEL or id reuse must
+        # never touch another connection's requests.
+        self._held: Dict[Tuple[_Connection, int], _Held] = {}
         self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.config.dispatch_workers,
+            max_workers=_DISPATCH_WORKERS,
             thread_name_prefix="repro-service-dispatch",
         )
-        self._inflight: Set[asyncio.Future] = set()
-        self._work = asyncio.Event()
         self._draining = False
-        self._dispatcher: Optional[asyncio.Task] = None
         self._conns: Set[_Connection] = set()
+        self._handlers: Set[asyncio.Task] = set()
         self.port: Optional[int] = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -223,39 +228,33 @@ class SolveService:
             self._handle_connection, self.config.host, self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
         logger.info("service listening on %s:%d", self.config.host, self.port)
 
     async def stop(self) -> None:
-        """Graceful drain: refuse new work, flush queued and in-flight."""
+        """Graceful drain: refuse new work, answer what the service holds."""
         self._draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # Queued-but-not-dispatched requests fail fast with SHUTDOWN.
-        for pending in self.queue.drain():
-            self._queued_ids.pop((pending.conn, pending.request.id), None)
-            await self._send_error(
-                pending.conn,
-                pending.request.id,
-                EngineClosedError("service draining"),
+        # Held requests get drain_timeout to be answered; the rest are
+        # given up, and their dispatch tasks end before the loop stops.
+        tasks = [held.task for held in self._held.values()]
+        if tasks:
+            _, late = await asyncio.wait(
+                tasks, timeout=self.config.drain_timeout
             )
-        # In-flight solves get drain_timeout to finish and respond.
-        if self._inflight:
-            await asyncio.wait(
-                list(self._inflight), timeout=self.config.drain_timeout
-            )
-        if self._dispatcher is not None:
-            self._work.set()
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except asyncio.CancelledError:
-                pass
+            for task in late:
+                task.cancel()
+            if late:
+                await asyncio.wait(late)
         conns = list(self._conns)
         for conn in conns:
             conn.closed = True
         await asyncio.gather(*(_close_writer(conn.writer) for conn in conns))
+        # A handler still closing its writer when the loop stops would be
+        # destroyed while pending.
+        if self._handlers:
+            await asyncio.wait(list(self._handlers), timeout=_CLOSE_TIMEOUT)
         self._executor.shutdown(wait=False)
         if self.own_engine:
             self.engine.shutdown()
@@ -265,6 +264,9 @@ class SolveService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
+        handler.add_done_callback(self._handlers.discard)
         conn = _Connection(reader, writer)
         self._conns.add(conn)
         try:
@@ -289,10 +291,10 @@ class SolveService:
         finally:
             conn.closed = True
             self._conns.discard(conn)
-            # Nobody is listening for this connection's queued requests
-            # any more — mark them cancelled so dispatch skips them.
-            for key in [k for k in self._queued_ids if k[0] is conn]:
-                self._queued_ids.pop(key).cancelled = True
+            # Nobody is listening for this connection's answers any more.
+            for (owner, _), held in list(self._held.items()):
+                if owner is conn:
+                    held.cancel()
             await _close_writer(writer)
 
     async def _handle_frame(
@@ -328,21 +330,23 @@ class SolveService:
                 conn, request.id, EngineClosedError("service draining")
             )
             return
-        if request.priority not in PRIORITIES:
+        if (conn, request.id) in self._held:
             await self._send_error(
                 conn,
                 request.id,
                 protocol.ProtocolError(
-                    f"unknown priority {request.priority!r}"
+                    f"request id {request.id} is still pending on this "
+                    f"connection"
                 ),
             )
             return
-        if self.config.max_queued and len(self.queue) >= self.config.max_queued:
+        if self.config.max_queued and len(self._held) >= self.config.max_queued:
             await self._send_error(
                 conn,
                 request.id,
                 BackpressureError(
-                    f"service queue full ({self.config.max_queued} requests)"
+                    f"service holds {self.config.max_queued} unanswered "
+                    f"requests"
                 ),
             )
             return
@@ -359,52 +363,40 @@ class SolveService:
             self.engine.telemetry.incr("service.rejected_oversize")
             await self._send_error(conn, request.id, exc)
             return
-        pending = _Pending(conn, request)
-        self._queued_ids[(conn, request.id)] = pending
-        self.queue.push(
-            pending, request.tenant, request.priority, float(request.cols)
-        )
-        self._work.set()
+        held = _Held(conn, request)
+        self._held[(conn, request.id)] = held
+        held.task = asyncio.ensure_future(self._dispatch(held))
 
     def _cancel(self, conn: _Connection, request_id: int) -> None:
         # Scoped to the connection that sent the CANCEL: ids from other
         # connections may collide (every client numbers from 1) and must
         # be unreachable here.
-        pending = self._queued_ids.pop((conn, request_id), None)
-        if pending is None:
+        held = self._held.get((conn, request_id))
+        if held is None or held.cancelled:
             return
-        pending.cancelled = True
-        if pending.future is not None:
-            pending.future.cancel()
+        held.cancel()
         self.engine.telemetry.incr("service.cancelled")
 
     # -- dispatch ------------------------------------------------------------
 
-    async def _dispatch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            pending = self.queue.pop()
-            if pending is None:
-                self._work.clear()
-                await self._work.wait()
-                continue
-            if pending.cancelled:
-                continue
-            self._queued_ids.pop((pending.conn, pending.request.id), None)
-            task = asyncio.ensure_future(self._dispatch_one(loop, pending))
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
+    async def _dispatch(self, held: _Held) -> None:
+        """Carry *held* through the engine to its answer, then release it.
 
-    async def _dispatch_one(
-        self, loop: asyncio.AbstractEventLoop, pending: _Pending
-    ) -> None:
-        request = pending.request
+        A cancelled engine future surfaces here as
+        :class:`asyncio.CancelledError` and ends the task: no answer is
+        owed.
+        """
+        request = held.request
         try:
+            # One loop turn before the submit: in the ``serve`` closed loop
+            # the coalescer then cuts wider batches (18.8 rather than 21.0
+            # per 48 requests, ≈ 5 % more columns/s on a 2-core host).
+            await asyncio.sleep(0)
             # submit() blocks while the engine is full, so keep it off
             # the event loop — on the service's own pool, not the loop's
             # default executor, so parked submits cannot starve other
-            # default-executor users or cap dispatch below intent.
-            fut = await loop.run_in_executor(
+            # default-executor users.
+            fut = await asyncio.get_running_loop().run_in_executor(
                 self._executor,
                 lambda: self.engine.submit(
                     request.spec,
@@ -414,28 +406,25 @@ class SolveService:
                     backend=request.backend,
                     timeout=request.deadline,
                     tenant=request.tenant,
-                    priority=request.priority,
                 ),
             )
-            pending.future = fut
-            if pending.cancelled:
+            held.future = fut
+            if held.cancelled:
                 fut.cancel()
                 return
             coeffs = await asyncio.wrap_future(fut)
-        except concurrent.futures.CancelledError:
-            return
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            if not pending.cancelled:
+        except Exception as exc:
+            if not held.cancelled:
                 await self._send_error(
-                    pending.conn, request.id, exc, tenant=request.tenant
+                    held.conn, request.id, exc, tenant=request.tenant
                 )
-            return
-        if not pending.cancelled:
-            await pending.conn.send(
-                protocol.encode_result(request.id, np.asarray(coeffs))
-            )
+        else:
+            if not held.cancelled:
+                await held.conn.send(
+                    protocol.encode_result(request.id, np.asarray(coeffs))
+                )
+        finally:
+            del self._held[(held.conn, request.id)]
 
     async def _send_error(
         self,
@@ -463,8 +452,7 @@ class SolveService:
         """Front-end counters for the TELEMETRY frame's ``service`` section."""
         admission = self.config.admission
         return {
-            "queued": len(self.queue),
-            "inflight": len(self._inflight),
+            "inflight": len(self._held),
             "admitted": admission.admitted,
             "throttled": admission.rejected,
             "draining": self._draining,

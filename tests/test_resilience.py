@@ -45,6 +45,7 @@ from repro.runtime import (
     WorkerError,
     merge_snapshots,
 )
+from repro.runtime import sharded as sharded_mod
 from repro.runtime.resilience.faults import ENV_VAR, HOOK_SITES
 from repro.runtime.sharded import _backoff_delay
 from repro.runtime.shm import ShmError
@@ -528,6 +529,62 @@ class TestProcessChaos:
             finally:
                 executor.release(lease)
             assert telemetry.counter("supervisor.worker_deaths") == 1
+        finally:
+            executor.shutdown()
+
+    def test_second_death_is_handled_during_first_backoff(self, monkeypatch):
+        # Rank 0 dies and its respawn is 30 s away.  Rank 1 then dies
+        # holding shards: the monitor fails them within its poll instead
+        # of waiting out rank 0's backoff first.
+        monkeypatch.setattr(
+            sharded_mod, "_backoff_delay", lambda attempt, rng: 30.0
+        )
+        plan = FaultPlan(
+            [
+                FaultSpec(
+                    site="sharded.worker_solve",
+                    kind="slow",
+                    worker=1,
+                    delay=30.0,
+                )
+            ]
+        )
+        telemetry = Telemetry()
+        executor = ShardedExecutor(
+            num_workers=2, telemetry=telemetry, faults=plan
+        )
+        try:
+            os.kill(executor._procs[0].pid, signal.SIGKILL)
+            _wait_for(lambda: telemetry.counter("supervisor.worker_deaths") == 1)
+            key = PlanKey.from_spec(SPEC)
+            lease = executor.lease((N, 8), np.float64)
+            try:
+                np.copyto(lease.array, _rhs(8, seed=19))
+                errors = []
+
+                def run():
+                    try:
+                        executor.solve(key, lease)
+                    except WorkerError as exc:
+                        errors.append(exc)
+
+                caller = threading.Thread(target=run)
+                caller.start()
+                # Both shards go to rank 1, the only live rank.
+                _wait_for(lambda: _shards_issued(telemetry) >= 2)
+                os.kill(executor._procs[1].pid, signal.SIGKILL)
+                _wait_for(
+                    lambda: telemetry.counter("supervisor.worker_deaths") == 2,
+                    timeout=5.0,
+                )
+                caller.join(timeout=5.0)
+                assert not caller.is_alive()
+            finally:
+                executor.release(lease)
+            (error,) = errors
+            assert error.worker_id == 1
+            assert telemetry.counter("supervisor.respawns") == 0
+            assert not executor._live[0]
         finally:
             executor.shutdown()
 

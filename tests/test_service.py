@@ -4,17 +4,20 @@ The end-to-end contract is *bitwise* parity: coefficients fetched through
 the TCP client must equal ``SolveEngine.submit()``'s exactly, for every
 solver version, dtype and executor — the wire carries raw C-order array
 bytes, so nothing may round-trip through text.  Around that core:
-admission control (token buckets, deficit round-robin fair share), hedged
-sends (first ack wins, loser cancelled), graceful drain, one tenant's
-poisoned columns staying that tenant's problem, and the per-tenant
-telemetry the service feeds.
+admission control (token buckets, the ``max_queued`` bound on held
+requests), hedged sends (first ack wins, loser cancelled), graceful
+drain, one tenant's poisoned columns staying that tenant's problem, and
+the per-tenant telemetry the service feeds.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import gc
+import itertools
 import json
+import logging
 import math
 import socket
 import struct
@@ -35,7 +38,6 @@ from repro.runtime.sharded import WorkerError
 from repro.runtime.telemetry import Telemetry, render_tenant_table
 from repro.service import (
     AdmissionController,
-    FairShareQueue,
     QuotaExceededError,
     ServiceClient,
     ServiceConfig,
@@ -50,6 +52,32 @@ from repro.service import server as server_mod
 
 SPEC = BSplineSpec(degree=3, n_points=24)
 N = 24
+
+
+class _StubEngine:
+    """An engine whose solves the test answers itself.
+
+    ``submit`` records each right-hand side with a fresh future that
+    nothing but the test resolves, so a request stays held by the
+    service exactly as long as the test wants.
+    """
+
+    def __init__(self):
+        self.telemetry = Telemetry()
+        self.submitted = []  # (rhs, future) in submit order
+
+    def submit(self, spec, rhs, **kwargs):
+        future = concurrent.futures.Future()
+        self.submitted.append((rhs, future))
+        return future
+
+
+def _wait_for(condition, timeout: float = 10.0) -> None:
+    """Poll *condition* until it holds; fail at the deadline."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.005)
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +103,6 @@ class TestProtocol:
             dtype="float32",
             backend="fused",
             tenant="alice",
-            priority="interactive",
             deadline=2.5,
         )
         frame = protocol.encode_request(req)
@@ -89,7 +116,7 @@ class TestProtocol:
         assert got.spec == req.spec
         assert got.version == 1 and got.dtype == "float32"
         assert got.backend == "fused"
-        assert got.tenant == "alice" and got.priority == "interactive"
+        assert got.tenant == "alice"
         assert got.deadline == 2.5
         assert got.rhs.dtype == np.float32
         assert np.array_equal(got.rhs, req.rhs)
@@ -237,42 +264,6 @@ class TestAdmissionController:
         assert ctrl.admitted == 1
 
 
-class TestFairShareQueue:
-    def test_strict_priority_across_classes(self):
-        q = FairShareQueue()
-        q.push("b1", "t", "batch", 1)
-        q.push("n1", "t", "normal", 1)
-        q.push("i1", "t", "interactive", 1)
-        assert q.drain() == ["i1", "n1", "b1"]
-
-    def test_round_robin_within_class(self):
-        q = FairShareQueue(quantum=1)
-        for i in range(3):
-            q.push(f"a{i}", "alice", "normal", 1)
-        q.push("b0", "bob", "normal", 1)
-        # alice queued first but bob is interleaved, not starved
-        assert q.drain() == ["a0", "b0", "a1", "a2"]
-
-    def test_wide_request_eventually_dispatches(self):
-        q = FairShareQueue(quantum=2)
-        q.push("wide", "a", "normal", 10)  # 5 turns of deficit needed
-        q.push("thin", "b", "normal", 1)
-        order = [q.pop(), q.pop()]
-        assert set(order) == {"wide", "thin"}
-        assert q.pop() is None
-
-    def test_unknown_priority_rejected(self):
-        q = FairShareQueue()
-        with pytest.raises(ValueError, match="priority"):
-            q.push("x", "t", "urgent", 1)
-
-    def test_fifo_within_one_tenant(self):
-        q = FairShareQueue()
-        for i in range(5):
-            q.push(i, "only", "normal", 1)
-        assert q.drain() == list(range(5))
-
-
 # -- end-to-end parity -------------------------------------------------------
 
 
@@ -305,11 +296,12 @@ class TestEndToEndParity:
                 got = client.solve(SPEC, rhs, timeout=60.0)
         assert got.tobytes() == expected.tobytes()
 
-    def test_stop_closes_every_transport(self, rng):
+    def test_stop_closes_every_transport(self, rng, caplog):
         # The service stops while the client is still connected.  A
         # transport still closing when the service loop stops is never
         # closed; its socket then leaks until garbage collection, which
-        # reports it as a ResourceWarning.
+        # reports it as a ResourceWarning.  A connection handler still
+        # pending then is destroyed with the loop, which asyncio logs.
         def solve_once():
             hosted = ServiceThread(SolveEngine(), own_engine=True).start()
             client = ServiceClient(hosted.host, hosted.port, hedge_delay=0)
@@ -319,12 +311,19 @@ class TestEndToEndParity:
                 hosted.stop()
                 client.close()
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            solve_once()  # drops every reference to the service and client
-            gc.collect()
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                solve_once()  # drops every reference to service and client
+                gc.collect()
         leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
         assert not leaks, [str(w.message) for w in leaks]
+        destroyed = [
+            r.getMessage()
+            for r in caplog.records
+            if "Task was destroyed" in r.getMessage()
+        ]
+        assert not destroyed, destroyed
 
     def test_many_pipelined_requests_one_connection(self, hosted_service, rng):
         rhs = [rng.standard_normal((N, c)) for c in (1, 3, 5, 2, 4)]
@@ -448,8 +447,6 @@ class TestServiceAdmission:
             ServiceConfig(max_payload=0)
         with pytest.raises(ValueError, match="max_payload"):
             ServiceConfig(max_payload=protocol.MAX_PAYLOAD + 1)
-        with pytest.raises(ValueError, match="dispatch_workers"):
-            ServiceConfig(dispatch_workers=0)
 
     def test_throttle_counts_in_tenant_telemetry(self, rng):
         engine = SolveEngine(EngineConfig(max_linger=1e-3))
@@ -473,17 +470,57 @@ class TestServiceAdmission:
         assert snap["counters"]["service.throttled"] == 3
 
 
+class TestBackpressure:
+    def test_max_queued_bounds_unanswered_requests(self, rng):
+        # max_queued counts what the service holds — admitted and not yet
+        # answered — however fast the engine takes submits.
+        engine = _StubEngine()
+        config = ServiceConfig(max_queued=4)
+        with ServiceThread(engine, config) as hosted:
+            with ServiceClient(
+                hosted.host, hosted.port, hedge_delay=0, throttle_retries=0
+            ) as client:
+                sent = [rng.standard_normal(N) for _ in range(4)]
+                held = [client.submit(SPEC, rhs) for rhs in sent]
+                _wait_for(lambda: len(engine.submitted) == 4)
+                bounced = [
+                    client.submit(SPEC, rng.standard_normal(N))
+                    for _ in range(6)
+                ]
+                codes = []
+                for fut in bounced:
+                    with pytest.raises(ServiceError) as err:
+                        fut.result(timeout=10)
+                    codes.append(err.value.code)
+                assert codes == ["BACKPRESSURE"] * 6
+                assert len(engine.submitted) == 4
+                for rhs, fut in list(engine.submitted):
+                    fut.set_result(2.0 * rhs)
+                for rhs, fut in zip(sent, held):
+                    assert fut.result(timeout=10).tobytes() == (2.0 * rhs).tobytes()
+                # Answered requests are released: the next one is admitted.
+                later = client.submit(SPEC, rng.standard_normal(N))
+                _wait_for(lambda: len(engine.submitted) == 5)
+                rhs, fut = engine.submitted[4]
+                fut.set_result(rhs)
+                assert later.result(timeout=10).tobytes() == rhs.tobytes()
+
+
 # -- client-side throttle retries --------------------------------------------
 
 
 class TestThrottleRetry:
     def test_throttled_solve_retries_transparently(self, rng):
-        # rate is high, so the bucket refills within the retry_after
-        # hint: the default retry budget absorbs the throttle entirely.
+        # The admission clock steps 1/64 s per admit, whatever the host's
+        # speed: after the burst, the second solve finds 0.75 of the one
+        # column it needs (rate 2N = 48 columns/s) and is throttled, and
+        # its retry finds 1.5 and is admitted.
+        ticks = itertools.count()
         engine = SolveEngine(EngineConfig(max_linger=1e-3))
         config = ServiceConfig(
             admission=AdmissionController(
-                quotas={"hog": TenantQuota(rate=2.0 * N, burst=float(N))}
+                quotas={"hog": TenantQuota(rate=2.0 * N, burst=float(N))},
+                clock=lambda: next(ticks) / 64,
             )
         )
         with ServiceThread(engine, config, own_engine=True) as hosted:
@@ -496,7 +533,7 @@ class TestThrottleRetry:
                     SPEC, rng.standard_normal(N), tenant="hog", timeout=10.0
                 )
                 assert np.isfinite(out).all()
-                assert client.stats()["throttle_retries"] >= 1
+                assert client.stats()["throttle_retries"] == 1
 
     def test_retry_budget_exhausts_to_error(self, rng):
         # rate is so low that no retry can ever be admitted: after the
@@ -563,26 +600,55 @@ class TestWireIdScoping:
     another connection's pending request."""
 
     def test_cancel_only_touches_own_connection(self, rng):
-        engine = SolveEngine(EngineConfig(max_linger=1e-3))
-        try:
-            service = server_mod.SolveService(engine)
-            conn_a = server_mod._Connection(None, None)
-            conn_b = server_mod._Connection(None, None)
-            req_a = protocol.Request(id=1, spec=SPEC, rhs=rng.standard_normal(N))
-            req_b = protocol.Request(id=1, spec=SPEC, rhs=rng.standard_normal(N))
-            asyncio.run(service._admit(conn_a, req_a))
-            asyncio.run(service._admit(conn_b, req_b))
-            assert len(service.queue) == 2
-            pending_b = service._queued_ids[(conn_b, 1)]
+        engine = _StubEngine()
+        service = server_mod.SolveService(engine)
+        conn_a = server_mod._Connection(None, None)
+        conn_b = server_mod._Connection(None, None)
+        req_a = protocol.Request(id=1, spec=SPEC, rhs=rng.standard_normal(N))
+        req_b = protocol.Request(id=1, spec=SPEC, rhs=rng.standard_normal(N))
+
+        async def scenario():
+            await service._admit(conn_a, req_a)
+            await service._admit(conn_b, req_b)
+            assert len(service._held) == 2
+            held_a = service._held[(conn_a, 1)]
+            held_b = service._held[(conn_b, 1)]
             service._cancel(conn_a, 1)  # A cancels *its own* id 1 ...
-            assert not pending_b.cancelled  # ... and B's twin is untouched
-            assert (conn_b, 1) in service._queued_ids
-            assert (conn_a, 1) not in service._queued_ids
+            await asyncio.wait([held_a.task])
+            assert held_a.future.cancelled()  # its engine future too
+            assert (conn_a, 1) not in service._held
+            assert not held_b.cancelled  # ... and B's twin is untouched
+            assert (conn_b, 1) in service._held
             service._cancel(conn_b, 1)
-            assert pending_b.cancelled
-            service._executor.shutdown(wait=False)
+            assert held_b.cancelled
+            await asyncio.wait([held_b.task])
+            assert not service._held
+
+        try:
+            asyncio.run(scenario())
         finally:
-            engine.shutdown()
+            service._executor.shutdown(wait=False)
+        assert [fut.cancelled() for _, fut in engine.submitted] == [True, True]
+
+    def test_id_still_pending_on_its_connection_is_refused(self, rng):
+        engine = _StubEngine()
+        request = protocol.Request(id=7, spec=SPEC, rhs=rng.standard_normal(N))
+        frame = protocol.encode_request(request)
+        with ServiceThread(engine) as hosted, socket.create_connection(
+            (hosted.host, hosted.port), timeout=10
+        ) as sock:
+            protocol.write_frame(sock, frame)
+            protocol.write_frame(sock, frame)  # id 7 is still held
+            ftype, _flags, payload = protocol.read_frame(sock)
+            assert ftype == protocol.FrameType.ERROR
+            info = protocol.decode_error(payload)
+            assert (info.id, info.code) == (7, "BAD_REQUEST")
+            _wait_for(lambda: len(engine.submitted) == 1)
+            rhs, fut = engine.submitted[0]
+            fut.set_result(rhs)
+            ftype, _flags, payload = protocol.read_frame(sock)
+            assert ftype == protocol.FrameType.RESULT
+            assert protocol.decode_result(payload).id == 7
 
     def test_two_connections_with_colliding_wire_ids(self, hosted_service, rng):
         rhs_a = rng.standard_normal((N, 2))
@@ -758,6 +824,24 @@ class TestDrain:
                 assert np.isfinite(fut.result(timeout=10)).all()
         finally:
             client.close()
+
+    def test_drain_timeout_gives_up_unanswered_requests(self, rng):
+        # A request the engine never answers is given up after
+        # drain_timeout: its engine future is cancelled and its dispatch
+        # task ends before the service loop stops.
+        engine = _StubEngine()
+        hosted = ServiceThread(engine, ServiceConfig(drain_timeout=0.2)).start()
+        client = ServiceClient(hosted.host, hosted.port, hedge_delay=0)
+        try:
+            fut = client.submit(SPEC, rng.standard_normal(N))
+            _wait_for(lambda: len(engine.submitted) == 1)
+            hosted.stop()
+            with pytest.raises(ConnectionError):
+                fut.result(timeout=10)
+        finally:
+            client.close()
+        assert engine.submitted[0][1].cancelled()
+        assert not hosted.service._held
 
     def test_submit_during_drain_gets_shutdown_error(self, rng):
         faults = FaultPlan(
